@@ -170,11 +170,6 @@ class Domain(Enum):
     BASEBAND = "baseband"
 
 
-class FilterKind(Enum):
-    FIR = "fir"
-    FIRST_ORDER_IIR = "first-order-iir"
-
-
 @dataclass(frozen=True)
 class ComplexFilter:
     """Causal filter with complex coefficients: an FIR tap vector over an
@@ -207,14 +202,6 @@ class ComplexFilter:
             if abs(pole) >= 1.0:
                 raise UsageError(f"pole magnitude {abs(pole):.6g} >= 1 (unstable)")
             object.__setattr__(self, "pole", pole)
-
-    @property
-    def kind(self) -> FilterKind:
-        return FilterKind.FIR if self.pole is None else FilterKind.FIRST_ORDER_IIR
-
-    @property
-    def is_fir(self) -> bool:
-        return self.pole is None
 
     def response(self, theta) -> np.ndarray:
         """Frequency response at normalized angular frequency ``theta`` (rad/sample)."""
@@ -316,20 +303,3 @@ def decimate(x: RealSeq | ComplexSeq, factor: int, phase: int = 0) -> RealSeq | 
         raise UsageError(f"decimation phase must lie in [0, {factor})")
     return type(x)(x.values[phase::factor], start=0)
 
-
-def canonicalize(filt: ComplexFilter) -> tuple[ComplexFilter, int]:
-    """Strip exact-zero leading/trailing FIR taps.
-
-    Returns the stripped filter and the number of leading zeros removed (the
-    integer delay by which the stripped filter's response differs from the
-    original).  Filters with a pole are returned unchanged.
-    """
-    if filt.pole is not None:
-        return filt, 0
-    nonzero = np.flatnonzero(filt.taps != 0)
-    if len(nonzero) == 0:
-        return ComplexFilter(np.zeros(1), domain=filt.domain), 0
-    first, last = int(nonzero[0]), int(nonzero[-1])
-    if first == 0 and last == len(filt.taps) - 1:
-        return filt, 0
-    return ComplexFilter(filt.taps[first : last + 1], domain=filt.domain), first

@@ -1,9 +1,12 @@
 """Frequency responses, H2 norms (incl. multirate), tuning, phase metrics."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import ddckit as dk
@@ -107,12 +110,11 @@ def test_norm_single_pole_closed_form_vs_brute_force():
     assert report.value == pytest.approx(_brute_energy(stages), rel=1e-12)
 
 
-def test_norm_two_poles_uses_impulse_sum_with_tight_tail():
+def test_norm_two_poles_is_closed_form():
     stages = [dk.make_lp(0.5, 1.0), dk.make_lp(0.125, 1.0)]
     report = dk.h2_norm_sq(stages)
-    assert report.method == "impulse-sum"
+    assert report.method == "closed-form"
     assert report.value == pytest.approx(_brute_energy(stages), rel=1e-12)
-    assert not report.degraded
 
 
 def test_norm_report_db():
@@ -154,7 +156,7 @@ def test_multirate_closed_form_vs_brute_force_upsampled_convolution():
     assert report.method == "closed-form"
 
 
-def test_multirate_with_inner_pole_falls_back_to_impulse_sum():
+def test_multirate_with_inner_pole_is_closed_form():
     carrier = dk.CarrierConfig(7, 33)
     inner = [dk.to_baseband(dk.make_dc_reject_passband(15 / 16), carrier),
              dk.make_2sr(carrier)]
@@ -169,12 +171,136 @@ def test_multirate_with_inner_pole_falls_back_to_impulse_sum():
     den[0], den[4] = 1.0, -pole
     y = lfilter([1 - pole], den, y)
     assert report.value == pytest.approx(float(np.sum(np.abs(y) ** 2)), rel=1e-12)
-    assert report.tail_bound is not None and not report.degraded
+    assert report.method == "closed-form"
 
 
 def test_multirate_validates_factor():
     with pytest.raises(dk.UsageError):
         dk.multirate_norm_sq(dk.make_ma(4), dk.make_ma(1), 0)
+
+
+# ------------------------------------------------------ 50-digit oracles
+
+def _mp_energy(taps, poles):
+    """Impulse energy of ``B(z) / prod(1 - p_i z^-1)`` in 50-digit mpmath,
+    for distinct nonzero poles given as mpmath numbers or floats.
+
+    The first ``len(taps)`` samples come from the recursion; from there on
+    the response is ``sum_i r_i p_i^k`` with the partial-fraction residues
+    ``r_i = B(1/p_i) / prod_{j != i} (1 - p_j/p_i)``, so the tail is the
+    double geometric sum ``sum_ij r_i r_j* (p_i p_j*)^L / (1 - p_i p_j*)``.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b = [mpmath.mpc(complex(t)) for t in taps]
+        p = [mpmath.mpc(q) for q in poles]
+        g = list(b)
+        for q in p:
+            acc = mpmath.mpc(0)
+            for k, v in enumerate(g):
+                acc = q * acc + v
+                g[k] = acc
+        residues = []
+        for i, q in enumerate(p):
+            r = mpmath.fsum(bm * q ** -m for m, bm in enumerate(b))
+            for j, other in enumerate(p):
+                if j != i:
+                    r /= 1 - other / q
+            residues.append(r)
+        head_len = len(b)
+        tail = mpmath.fsum(
+            ri * mpmath.conj(rj) * (pi * mpmath.conj(pj)) ** head_len
+            / (1 - pi * mpmath.conj(pj))
+            for ri, pi in zip(residues, p)
+            for rj, pj in zip(residues, p)
+        )
+        return mpmath.fsum(abs(v) ** 2 for v in g) + mpmath.re(tail)
+
+
+def _taps_and_poles(stages):
+    taps = np.ones(1, dtype=complex)
+    for stage in stages:
+        taps = np.convolve(taps, stage.taps)
+    return taps, [complex(s.pole) for s in stages if s.pole is not None]
+
+
+_C733 = dk.CarrierConfig(7, 33)
+
+
+def _lowpasses(x):
+    return [dk.make_lp(x, 1.0), dk.make_lp(2.5 * x, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        [dk.make_2sr(_C733)] + _lowpasses(1e-5),
+        [dk.to_baseband(dk.make_dc_reject_passband(0.9375), _C733),
+         dk.make_2sr(_C733)] + _lowpasses(1e-5),
+    ],
+    ids=["two-poles-1e-5", "three-poles-1e-5"],
+)
+def test_norm_matches_50_digit_partial_fractions(stages):
+    reference = float(_mp_energy(*_taps_and_poles(stages)))
+    report = dk.h2_norm_sq(stages)
+    assert report.value == pytest.approx(reference, rel=1e-13, abs=0)
+    assert report.method == "closed-form"
+
+
+def test_norm_repeated_pole_matches_50_digit_limit():
+    mpmath = pytest.importorskip("mpmath")
+    lp = dk.make_lp(1e-4, 1.0)
+    stages = [dk.make_2sr(_C733), lp, lp]
+    taps, _ = _taps_and_poles(stages)
+    with mpmath.workdps(50):
+        p, delta = mpmath.mpf(lp.pole.real), mpmath.mpf("1e-15")
+        # Distinct-pole limit, first order in delta: E(p, p) to O(delta^2).
+        reference = float(
+            2 * _mp_energy(taps, [p, p - delta]) - _mp_energy(taps, [p, p - 2 * delta])
+        )
+    assert dk.h2_norm_sq(stages).value == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("factor", [4, 33])
+def test_multirate_inner_pole_matches_50_digit_partial_fractions(factor):
+    mpmath = pytest.importorskip("mpmath")
+    inner = [dk.to_baseband(dk.make_dc_reject_passband(0.9375), _C733),
+             dk.make_2sr(_C733)]
+    outer = dk.make_lp(1e-3 * factor, 1.0)
+    taps, poles = _taps_and_poles(inner)
+    up = np.zeros((len(outer.taps) - 1) * factor + 1, dtype=complex)
+    up[::factor] = outer.taps
+    with mpmath.workdps(50):
+        # F(z^N) has the N-th roots of its low-rate pole as full-rate poles.
+        roots = [mpmath.root(outer.pole.real, factor, k) for k in range(factor)]
+        reference = float(_mp_energy(np.convolve(taps, up), poles + roots))
+    report = dk.multirate_norm_sq(inner, outer, factor)
+    assert report.value == pytest.approx(reference, rel=1e-13, abs=0)
+    assert report.method == "closed-form"
+
+
+_stage = st.builds(
+    lambda taps, radius, angle: dk.ComplexFilter(
+        np.array(taps), pole=cmath.rect(radius, angle)
+    ),
+    st.lists(
+        st.builds(cmath.rect, st.floats(0.1, 2.0), st.floats(-math.pi, math.pi)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.floats(0.0, 0.9),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@given(stages=st.lists(_stage, min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_norm_of_random_stable_cascade_matches_impulse_sum(stages):
+    # |p| <= 0.9: the brute-force sum has decayed far below 1e-12 well
+    # within its 20000 samples.
+    assert dk.h2_norm_sq(stages).value == pytest.approx(
+        _brute_energy(stages), rel=1e-12
+    )
 
 
 # ------------------------------------------------------- tune_lp_bandwidth
@@ -267,6 +393,14 @@ def test_phase_is_unwrapped_continuously():
 def test_phase_metrics_rejects_response_zero():
     with pytest.raises(dk.DomainError):
         dk.phase_metrics(dk.make_ma(11), 2 * math.pi / 11, 1.0)
+
+
+def test_group_delay_of_narrow_lowpass_is_exact_at_dc():
+    f = dk.make_lp(1e-5, 1.0)
+    a = f.pole.real
+    assert dk.phase_metrics(f, 0.0, 1.0).group_delay == pytest.approx(
+        a / (1 - a), rel=1e-12
+    )
 
 
 def test_phase_metrics_scales_with_sample_period():

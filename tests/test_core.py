@@ -89,14 +89,6 @@ def test_filter_requires_taps_and_stable_pole():
         dk.ComplexFilter(np.array([1.0]), pole=1.5j)
 
 
-def test_filter_kind():
-    assert dk.ComplexFilter(np.array([1.0])).kind is dk.FilterKind.FIR
-    assert (
-        dk.ComplexFilter(np.array([0.1]), pole=0.9).kind
-        is dk.FilterKind.FIRST_ORDER_IIR
-    )
-
-
 def test_filter_stream_identity():
     f = dk.ComplexFilter(np.array([1.0]))
     x = dk.ComplexSeq(np.array([3 + 4j, -1]))
@@ -249,48 +241,3 @@ def test_decimate_rejects_bad_phase():
 def test_decimate_preserves_sequence_type():
     x = dk.RealSeq(np.arange(6.0))
     assert isinstance(dk.decimate(x, 2), dk.RealSeq)
-
-
-# ------------------------------------------------------------ canonicalize
-
-@pytest.mark.parametrize(
-    "taps,expected,delay",
-    [
-        ([0, 1, 0], [1], 1),
-        ([1, np.exp(-1j * math.pi / 3)], [1, np.exp(-1j * math.pi / 3)], 0),
-        ([0, 0, 2j], [2j], 2),
-    ],
-)
-def test_canonicalize(taps, expected, delay):
-    f, d = dk.canonicalize(dk.ComplexFilter(np.array(taps, dtype=complex)))
-    assert d == delay
-    assert np.array_equal(f.taps, np.array(expected, dtype=complex))
-
-
-def test_canonicalize_leaves_iir_untouched():
-    f = dk.ComplexFilter(np.array([0.0, 1.0]), pole=0.5)
-    g, d = dk.canonicalize(f)
-    assert g is f and d == 0
-
-
-def test_canonicalize_all_zero_keeps_one_tap():
-    g, d = dk.canonicalize(dk.ComplexFilter(np.zeros(3)))
-    assert len(g.taps) == 1 and d == 0
-
-
-@given(
-    taps=_taps,
-    lead=st.integers(min_value=0, max_value=4),
-    trail=st.integers(min_value=0, max_value=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_canonicalize_preserves_response_up_to_delay(taps, lead, trail):
-    padded = np.concatenate(
-        [np.zeros(lead, dtype=complex), np.array(taps), np.zeros(trail, dtype=complex)]
-    )
-    stripped, delay = dk.canonicalize(dk.ComplexFilter(padded))
-    thetas = np.linspace(-3.0, 3.0, 17)
-    original = dk.ComplexFilter(padded).response(thetas)
-    shifted = stripped.response(thetas) * np.exp(-1j * thetas * delay)
-    scale = max(1.0, float(np.max(np.abs(original))))
-    assert np.allclose(original, shifted, rtol=0, atol=1e-12 * scale)
