@@ -40,6 +40,8 @@ from .simulate import (
     PhaseRampEnvelope,
     SignalSpec,
     StepEnvelope,
+    _check_experiment_length,
+    analytic_noise_gain,
     noise_gain_study,
     run_experiment,
     synthesize,
@@ -279,10 +281,11 @@ def cmd_simulate(args) -> int:
     )
 
     if args.seeds > 1:
+        _check_experiment_length(chain, args.samples)
         study = noise_gain_study(
             spec, chain, args.samples, [args.seed + i for i in range(args.seeds)]
         )
-        analytic = run_experiment(spec, chain, args.samples).noise_gain_analytic
+        analytic = analytic_noise_gain(chain)
         sigma_off = abs(study.value - analytic) / study.stderr if study.stderr else 0.0
         print(f"noise_gain_empirical = {study.value:.6g} +- {study.stderr:.2g}")
         print(f"noise_gain_analytic = {analytic:.6g}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,19 @@ class ChainOrder(Enum):
     DECIMATE_THEN_FILTER = "decimate-then-filter"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class _Stage(NamedTuple):
+    """One filter of a chain: as it runs, in its baseband form, and whether it
+    runs after the decimator (at the decimated rate) or before it."""
+
+    filter: ComplexFilter
+    baseband: ComplexFilter
+    decimated: bool
+
+
 @dataclass(frozen=True)
 class DdcChain:
     """An immutable downconversion pipeline description.
@@ -44,6 +58,12 @@ class DdcChain:
     decimate and low-pass.  When filtering after decimation the ``lowpass``
     stage runs at the decimated rate and must be built for the longer sample
     period; :func:`make_chain` does that bookkeeping.
+
+    Construction validates the fields and derives the chain's filters once, in
+    processing order, each with its baseband form and its place relative to
+    the decimator.  :func:`run`, :func:`transient_length`,
+    :func:`group_delay_seconds`, :meth:`baseband_stages` and
+    ``analytic_noise_gain`` all read that one description.
     """
 
     carrier: CarrierConfig
@@ -61,30 +81,39 @@ class DdcChain:
             raise UsageError("the low-pass stage must be a baseband filter")
         if self.pre_mixer is not None and self.pre_mixer.domain is not Domain.PASSBAND:
             raise UsageError("the pre-mixer stage must be a passband filter")
-        if not isinstance(self.decimation, int) or self.decimation < 1:
+        if not _is_int(self.decimation) or self.decimation < 1:
             raise UsageError("decimation must be a positive integer")
+        if not _is_int(self.decimation_phase):
+            raise UsageError("decimation phase must be an integer")
         if not (0 <= self.decimation_phase < self.decimation):
             raise UsageError("decimation phase out of range")
         if self.order is ChainOrder.DECIMATE_THEN_FILTER and self.lowpass is None:
             raise UsageError("decimate-then-filter needs a low-pass stage")
+        stages = []
+        if self.pre_mixer is not None:
+            baseband = to_baseband(self.pre_mixer, self.carrier)
+            stages.append(_Stage(self.pre_mixer, baseband, False))
+        stages.append(_Stage(self.ddc, self.ddc, False))
+        if self.lowpass is not None:
+            after = self.order is ChainOrder.DECIMATE_THEN_FILTER
+            stages.append(_Stage(self.lowpass, self.lowpass, after))
+        # Derived from the fields, so kept out of them (and out of __init__,
+        # repr and equality); frozen, hence set through object.__setattr__.
+        object.__setattr__(self, "_stages", tuple(stages))
 
     @property
     def output_period(self) -> float:
         return self.carrier.sample_period * self.decimation
 
     def baseband_stages(self) -> list[ComplexFilter]:
-        """All filter stages mapped to the baseband, in processing order.
+        """The filter stages that run before the decimator, mapped to the
+        baseband, in processing order.
 
         This is the chain's effective LTI filter for noise purposes: mixing
         commutes with the passband pre-filter once the latter is transformed.
+        A low-pass that runs after the decimator is not included.
         """
-        stages: list[ComplexFilter] = []
-        if self.pre_mixer is not None:
-            stages.append(to_baseband(self.pre_mixer, self.carrier))
-        stages.append(self.ddc)
-        if self.lowpass is not None and self.order is ChainOrder.FILTER_THEN_DECIMATE:
-            stages.append(self.lowpass)
-        return stages
+        return [stage.baseband for stage in self._stages if not stage.decimated]
 
 
 def make_chain(
@@ -164,16 +193,9 @@ def transient_length(chain: DdcChain) -> int:
     scaled back to the input rate when the stage runs after decimation.
     """
     total = 0
-    if chain.pre_mixer is not None:
-        total += len(chain.pre_mixer.taps) - 1
-        total += _settling_horizon(chain.pre_mixer.pole)
-    total += len(chain.ddc.taps) - 1
-    total += _settling_horizon(chain.ddc.pole)
-    if chain.lowpass is not None:
-        stage = len(chain.lowpass.taps) - 1 + _settling_horizon(chain.lowpass.pole)
-        if chain.order is ChainOrder.DECIMATE_THEN_FILTER:
-            stage *= chain.decimation
-        total += stage
+    for stage in chain._stages:
+        span = len(stage.filter.taps) - 1 + _settling_horizon(stage.filter.pole)
+        total += span * chain.decimation if stage.decimated else span
     return total
 
 
@@ -181,23 +203,26 @@ def group_delay_seconds(chain: DdcChain) -> float:
     """Sum of stage group delays at zero baseband frequency, in seconds."""
     h = chain.carrier.sample_period
     total = 0.0
-    if chain.pre_mixer is not None:
-        bb = to_baseband(chain.pre_mixer, chain.carrier)
-        total += analysis.phase_metrics(bb, 0.0, h).group_delay
-    total += analysis.phase_metrics(chain.ddc, 0.0, h).group_delay
-    if chain.lowpass is not None:
-        period = h
-        if chain.order is ChainOrder.DECIMATE_THEN_FILTER:
-            period *= chain.decimation
-        total += analysis.phase_metrics(chain.lowpass, 0.0, period).group_delay
+    for stage in chain._stages:
+        period = h * chain.decimation if stage.decimated else h
+        total += analysis.phase_metrics(stage.baseband, 0.0, period).group_delay
     return total
 
 
-def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
-    """Push a block of ADC samples through the chain.
+def _filter(stage: _Stage, x: RealSeq | ComplexSeq) -> ComplexSeq:
+    return filter_stream(stage.filter, FilterState(stage.filter), x)
 
-    The input must at least cover the chain transient.  Output sample j sits
-    at absolute input index ``y.start + decimation_phase + j*decimation``.
+
+def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
+    """Push a block of ADC samples through the chain from zero filter state.
+
+    The input must at least cover the chain transient.  Passband stages run
+    on ``y``, then the mixer, the baseband stages before the decimator, the
+    decimator and the stages after it.  Output sample j sits at absolute
+    input index ``y.start + decimation_phase + j*decimation``; like
+    :func:`~ddckit.core.decimate`, the output is re-indexed, so
+    ``out.seq.start`` is 0 whatever ``y.start`` is.  Output blocks that
+    carry absolute indices belong to streamable chains (ROADMAP item 4).
     """
     if len(y) < max(1, transient_length(chain)):
         raise UsageError(
@@ -205,17 +230,17 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
             f"({transient_length(chain)} samples)"
         )
     x: RealSeq | ComplexSeq = y
-    if chain.pre_mixer is not None:
-        x = filter_stream(chain.pre_mixer, FilterState(chain.pre_mixer), x)
+    for stage in chain._stages:
+        if stage.filter.domain is Domain.PASSBAND:
+            x = _filter(stage, x)
     z = mix_down(x, chain.carrier)
-    z = filter_stream(chain.ddc, FilterState(chain.ddc), z)
-    if chain.order is ChainOrder.FILTER_THEN_DECIMATE:
-        if chain.lowpass is not None:
-            z = filter_stream(chain.lowpass, FilterState(chain.lowpass), z)
-        z = decimate(z, chain.decimation, chain.decimation_phase)
-    else:
-        z = decimate(z, chain.decimation, chain.decimation_phase)
-        z = filter_stream(chain.lowpass, FilterState(chain.lowpass), z)
+    for stage in chain._stages:
+        if stage.filter.domain is Domain.BASEBAND and not stage.decimated:
+            z = _filter(stage, z)
+    z = decimate(z, chain.decimation, chain.decimation_phase)
+    for stage in chain._stages:
+        if stage.decimated:
+            z = _filter(stage, z)
     return DdcOutput(
         seq=z,
         sample_period=chain.output_period,

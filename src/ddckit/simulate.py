@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .core import CarrierConfig, ComplexFilter, RealSeq, UsageError
 from .filters import make_iq
-from .pipeline import ChainOrder, DdcChain, run, transient_length
+from .pipeline import DdcChain, run, transient_length
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,12 @@ def _first_clean_output(chain: DdcChain, margin: int = 0) -> int:
 def analytic_noise_gain(chain: DdcChain) -> float:
     """Effective squared filter norm of the chain for white ADC noise."""
     stages = chain.baseband_stages()
-    if chain.order is ChainOrder.DECIMATE_THEN_FILTER:
-        assert chain.lowpass is not None
-        return analysis.multirate_norm_sq(
-            stages, chain.lowpass, chain.decimation
-        ).value
+    for stage in chain._stages:
+        if stage.decimated:
+            # Only the low-pass can run after the decimator.
+            return analysis.multirate_norm_sq(
+                stages, stage.baseband, chain.decimation
+            ).value
     return analysis.h2_norm_sq(stages).value
 
 
@@ -198,15 +199,22 @@ def _demodulate_spurs(
     return strongest
 
 
-def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentReport:
-    """Synthesize a stream, run the chain, and compare against the known
-    envelope trajectory and the analytic noise gain."""
+def _check_experiment_length(chain: DdcChain, count: int) -> int:
+    """The chain transient, once ``count`` input samples are known to cover
+    ten transients and one decimated carrier block."""
     settle = transient_length(chain)
     if count < max(10 * settle, chain.carrier.samples * chain.decimation):
         raise UsageError(
             f"{count} samples is too short: need at least 10x the transient "
             f"({settle}) and one decimated carrier block"
         )
+    return settle
+
+
+def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentReport:
+    """Synthesize a stream, run the chain, and compare against the known
+    envelope trajectory and the analytic noise gain."""
+    settle = _check_experiment_length(chain, count)
     out = run(chain, synthesize(spec, chain.carrier, count))
     k_out = chain.decimation_phase + np.arange(len(out.seq)) * chain.decimation
     expected = spec.envelope.at(k_out)
@@ -260,6 +268,8 @@ def noise_gain_study(
     if len(seeds) < 2:
         raise UsageError("need at least two seeds for a standard error")
     j0 = _first_clean_output(chain)
+    if j0 >= len(range(chain.decimation_phase, count, chain.decimation)):
+        raise UsageError("no post-transient output samples to evaluate")
     quiet = run(chain, synthesize(replace(spec, noise_sigma=0.0), chain.carrier, count))
     gains = []
     for seed in seeds:

@@ -75,6 +75,18 @@ def test_chain_decimate_then_filter_requires_lowpass():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("decimation", True), ("decimation", 2.0),
+     ("decimation_phase", True), ("decimation_phase", 0.5)],
+)
+def test_chain_rejects_non_integer_decimation(field, value):
+    carrier = dk.CarrierConfig(7, 33)
+    fields = {"decimation": 2, "decimation_phase": 0, field: value}
+    with pytest.raises(dk.UsageError):
+        dk.DdcChain(carrier, dk.make_ma(4), **fields)
+
+
 def test_make_chain_builds_lowpass_at_stage_rate():
     carrier = dk.CarrierConfig(7, 33, 10.0)
     bandwidth = 0.05
@@ -177,6 +189,79 @@ def test_decimated_noise_gain_matches_multirate_norm():
     study = dk.noise_gain_study(spec, chain, 300_000, list(range(6)))
     predicted = dk.analytic_noise_gain(chain)
     assert abs(study.value - predicted) < 4 * study.stderr
+
+
+# ------------------------------------------------------------ chain shapes
+
+def _chain_shapes():
+    for pre_mixer in (None, 15 / 16):
+        for lowpass in (None, "before", "after"):
+            for decimation in (1, 3):
+                for phase in range(decimation):
+                    yield pre_mixer, lowpass, decimation, phase
+
+
+def _through(filt, x):
+    return dk.filter_stream(filt, dk.FilterState(filt), x)
+
+
+@pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chain_shapes()))
+def test_chain_shape_matches_its_explicit_stages(pre_mixer, lowpass, decimation, phase):
+    # Every chain number is spelled out from the public primitives, stage by
+    # stage, and must match exactly: low-pass before or after the decimator
+    # (including after it at decimation 1), with and without a pre-mixer.
+    carrier = dk.CarrierConfig(7, 33, 3.0)
+    h = carrier.sample_period
+    after = lowpass == "after"
+    chain = dk.make_chain(
+        carrier,
+        dk.make_2sr(carrier),
+        lp_bandwidth=None if lowpass is None else 0.01 * 2 * math.pi / h,
+        pre_mixer=None if pre_mixer is None else dk.make_dc_reject_passband(pre_mixer),
+        decimation=decimation,
+        decimation_phase=phase,
+        order=dk.ChainOrder.DECIMATE_THEN_FILTER if after else dk.ChainOrder.FILTER_THEN_DECIMATE,
+    )
+    y = dk.RealSeq(np.random.default_rng(11).standard_normal(3000), start=5)
+
+    x = y if pre_mixer is None else _through(chain.pre_mixer, y)
+    z = _through(chain.ddc, dk.mix_down(x, carrier))
+    if lowpass == "before":
+        z = _through(chain.lowpass, z)
+    z = dk.decimate(z, decimation, phase)
+    if after:
+        z = _through(chain.lowpass, z)
+    out = dk.run(chain, y)
+    assert out.seq.values.tobytes() == z.values.tobytes()
+    assert out.seq.start == 0
+    assert out.sample_period == h * decimation
+    assert out.decimation_delay == 0.5 * h * decimation
+
+    # (filter as it runs, baseband form, input samples per stage sample)
+    stages = [(chain.ddc, chain.ddc, 1)]
+    if pre_mixer is not None:
+        stages.insert(0, (chain.pre_mixer, dk.to_baseband(chain.pre_mixer, carrier), 1))
+    if lowpass is not None:
+        stages.append((chain.lowpass, chain.lowpass, decimation if after else 1))
+    memory = 0
+    delay = 0.0
+    for filt, baseband, rate in stages:
+        horizon = 0 if filt.pole is None else math.ceil(math.log(1e-12) / math.log(abs(filt.pole)))
+        memory += (len(filt.taps) - 1 + horizon) * rate
+        delay += dk.phase_metrics(baseband, 0.0, h * rate).group_delay
+    assert dk.transient_length(chain) == memory
+    assert dk.group_delay_seconds(chain) == delay
+    assert out.group_delay == delay
+
+    before = [baseband for _, baseband, _ in stages]
+    if after:
+        before.pop()  # the low-pass runs after the decimator
+        gain = dk.multirate_norm_sq(before, chain.lowpass, decimation).value
+    else:
+        gain = dk.h2_norm_sq(before).value
+    assert dk.analytic_noise_gain(chain) == gain
+    assert len(chain.baseband_stages()) == len(before)
+    assert len(before) == 1 + (pre_mixer is not None) + (lowpass == "before")
 
 
 # ------------------------------------------------------------------ timing

@@ -251,6 +251,33 @@ def test_cli_simulate_noise_study(capsys):
     assert emp == pytest.approx(1 / 14, rel=0.05)
 
 
+def test_cli_simulate_noise_study_needs_no_single_experiment(monkeypatch, capsys):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("the noise study ran a single experiment")
+
+    monkeypatch.setattr("ddckit.cli.run_experiment", no_experiment)
+    assert (
+        main(["simulate", "--preset", "ess", "--noise", "1", "--seeds", "2",
+              "--samples", "2000"])
+        == 0
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[1].split("=")[1]) == pytest.approx(1 / 14, rel=1e-5)
+
+
+def test_cli_simulate_noise_study_rejects_short_runs_up_front(monkeypatch, capsys):
+    def no_study(*args, **kwargs):
+        raise AssertionError("started a noise study on a too-short run")
+
+    monkeypatch.setattr("ddckit.cli.noise_gain_study", no_study)
+    assert (
+        main(["simulate", "--preset", "ess", "--noise", "1", "--seeds", "3",
+              "--samples", "100"])
+        == 2
+    )
+    assert "100 samples is too short" in capsys.readouterr().err
+
+
 def test_cli_simulate_trace_out(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert (

@@ -186,6 +186,19 @@ def test_noise_gain_study_requires_noise_and_seeds():
         )
 
 
+def test_noise_gain_study_rejects_runs_with_no_clean_output(monkeypatch):
+    # MA(14) decimated by 14: 14 samples give one output, still in the transient.
+    carrier = dk.CarrierConfig(3, 14)
+    chain = dk.DdcChain(carrier, dk.make_ma(14), decimation=14)
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized a stream for an empty study")
+
+    monkeypatch.setattr("ddckit.simulate.synthesize", no_synthesis)
+    with pytest.raises(dk.UsageError, match="post-transient"):
+        dk.noise_gain_study(dk.SignalSpec(noise_sigma=1.0), chain, 14, [0, 1])
+
+
 # --------------------------------------------------------- harmonic bias
 
 def test_iq_harmonic_bias_zero_without_harmonic():
