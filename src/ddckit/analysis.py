@@ -23,6 +23,7 @@ from .core import (
     ComplexFilter,
     DomainError,
     UsageError,
+    _is_int,
 )
 
 FilterOrCascade = Union[ComplexFilter, Sequence[ComplexFilter]]
@@ -207,7 +208,7 @@ def multirate_norm_sq(
     ``closed-form`` for every factor and pole count, and matches a 50-digit
     reference to 1e-13 relative in the tests.
     """
-    if not isinstance(factor, int) or factor < 1:
+    if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
     taps, inner_poles = _materialize(_as_stages(inner))
     poles: list[complex] = []
@@ -333,7 +334,7 @@ def alias_map(order: int, carrier: CarrierConfig) -> AliasImages:
     applications; coprime ratios spread the images onto nonzero grid points
     that block-length averaging nulls.
     """
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise UsageError("harmonic order must be a positive integer")
     step = carrier.phase_step
     return AliasImages(

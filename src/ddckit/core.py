@@ -17,6 +17,11 @@ import numpy as np
 from scipy.signal import lfilter
 
 
+def _is_int(value) -> bool:
+    """True for a Python integer that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DdcError(Exception):
     """Base class for errors raised by this package."""
 
@@ -59,7 +64,7 @@ class CarrierConfig:
     sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.periods, int) or not isinstance(self.samples, int):
+        if not _is_int(self.periods) or not _is_int(self.samples):
             raise UsageError("carrier ratio must be a pair of integers")
         if self.periods <= 0 or self.samples <= 0:
             raise UsageError("carrier ratio requires positive integers")
@@ -297,9 +302,9 @@ def decimate(x: RealSeq | ComplexSeq, factor: int, phase: int = 0) -> RealSeq | 
     re-indexed from zero: absolute timing of output sample j is
     ``(x.start + phase + j*factor)`` input periods.
     """
-    if not isinstance(factor, int) or factor < 1:
+    if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
-    if not isinstance(phase, int) or not (0 <= phase < factor):
+    if not _is_int(phase) or not (0 <= phase < factor):
         raise UsageError(f"decimation phase must lie in [0, {factor})")
     return type(x)(x.values[phase::factor], start=0)
 

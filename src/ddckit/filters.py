@@ -15,7 +15,14 @@ import warnings
 
 import numpy as np
 
-from .core import CarrierConfig, ComplexFilter, Domain, SingularityError, UsageError
+from .core import (
+    CarrierConfig,
+    ComplexFilter,
+    Domain,
+    SingularityError,
+    UsageError,
+    _is_int,
+)
 
 # Below this, two-sample reconstruction is numerically singular.
 _SIN_STEP_FLOOR = 1e-9
@@ -60,7 +67,7 @@ def make_ma(length: int) -> ComplexFilter:
     nonzero multiple of the block frequency, which nulls the double-frequency
     image, the DC-offset spur, and all aliased harmonics at once.
     """
-    if not isinstance(length, int) or length < 1:
+    if not _is_int(length) or length < 1:
         raise UsageError("moving-average length must be a positive integer")
     return ComplexFilter(np.full(length, 1.0 / length), domain=Domain.BASEBAND)
 

@@ -20,6 +20,7 @@ from .core import (
     FilterState,
     RealSeq,
     UsageError,
+    _is_int,
     decimate,
     filter_stream,
 )
@@ -34,10 +35,6 @@ class ChainOrder(Enum):
 
     FILTER_THEN_DECIMATE = "filter-then-decimate"
     DECIMATE_THEN_FILTER = "decimate-then-filter"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _Stage(NamedTuple):

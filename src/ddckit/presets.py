@@ -100,12 +100,9 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def parse_filter_spec(
-    spec: str, carrier: CarrierConfig | None, sample_period: float | None = None
-) -> list[ComplexFilter]:
+def parse_filter_spec(spec: str, carrier: CarrierConfig | None) -> list[ComplexFilter]:
     """Parse a ``+``-joined filter spec into a baseband cascade."""
-    if sample_period is None:
-        sample_period = carrier.sample_period if carrier is not None else 1.0
+    sample_period = carrier.sample_period if carrier is not None else 1.0
 
     def need_carrier(token: str) -> CarrierConfig:
         if carrier is None:

@@ -4,21 +4,22 @@ analytic baseband predictions.
 Noise is injected where it physically arises, as real white Gaussian samples
 at the ADC, so the mixed noise seen by the baseband filters is genuinely
 cyclostationary; the experiments then verify that its output variance matches
-``4*sigma^2`` times the analytic filter energy.  The generator is NumPy's
-PCG64 ``Generator.standard_normal``, seeded per spec, which pins every
-experiment to a reproducible stream.
+``4*sigma^2`` times the analytic filter energy.  Every stage of a chain is
+linear, so that variance is measured by running the chain on the seeded noise
+alone.  The generator is NumPy's PCG64 ``Generator.standard_normal``, seeded
+per spec, which pins every experiment to a reproducible stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
 from . import analysis
-from .core import CarrierConfig, ComplexFilter, RealSeq, UsageError
+from .core import CarrierConfig, ComplexFilter, RealSeq, UsageError, _is_int
 from .filters import make_iq
 from .pipeline import DdcChain, run, transient_length
 
@@ -82,7 +83,8 @@ class SignalSpec:
     ``harmonics`` lists ``(order, amplitude)`` pairs for tones at integer
     multiples of the carrier (order >= 2); aliasing through the sample rate is
     implicit in the block arithmetic.  ``noise_sigma`` is the standard
-    deviation of the real white ADC noise per sample.
+    deviation of the real white ADC noise per sample, drawn from ``seed`` (a
+    non-negative integer).
     """
 
     envelope: Envelope = field(default_factory=ConstantEnvelope)
@@ -97,10 +99,21 @@ class SignalSpec:
         if not math.isfinite(self.dc_offset):
             raise UsageError("dc_offset must be finite")
         orders = [m for m, _ in self.harmonics]
-        if any(not isinstance(m, int) or m < 2 for m in orders):
+        if any(not _is_int(m) or m < 2 for m in orders):
             raise UsageError("harmonic orders must be integers >= 2")
         if len(set(orders)) != len(orders):
             raise UsageError("harmonic orders must be distinct")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, not {seed!r}")
+
+
+def _adc_noise(sigma: float, seed: int, count: int) -> np.ndarray:
+    """The white ADC noise of a seeded stream: ``count`` real samples."""
+    return sigma * np.random.default_rng(seed).standard_normal(count)
 
 
 def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
@@ -123,8 +136,7 @@ def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
     if spec.dc_offset:
         y += spec.dc_offset
     if spec.noise_sigma > 0.0:
-        rng = np.random.default_rng(spec.seed)
-        y += spec.noise_sigma * rng.standard_normal(count)
+        y += _adc_noise(spec.noise_sigma, spec.seed, count)
     return RealSeq(y, start=0)
 
 
@@ -148,9 +160,18 @@ class ExperimentReport:
     output_samples: int
 
 
-def _first_clean_output(chain: DdcChain, margin: int = 0) -> int:
-    settle = transient_length(chain) + margin
+def _first_clean_output(chain: DdcChain) -> int:
+    settle = transient_length(chain)
     return max(0, math.ceil((settle - chain.decimation_phase) / chain.decimation))
+
+
+def _noise_power(
+    chain: DdcChain, sigma: float, seed: int, count: int, j0: int
+) -> np.ndarray:
+    """Output power of the chain run on seeded ADC noise alone, from output
+    sample ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain."""
+    out = run(chain, RealSeq(_adc_noise(sigma, seed, count)))
+    return np.abs(out.seq.values[j0:]) ** 2
 
 
 def analytic_noise_gain(chain: DdcChain) -> float:
@@ -213,7 +234,11 @@ def _check_experiment_length(chain: DdcChain, count: int) -> int:
 
 def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentReport:
     """Synthesize a stream, run the chain, and compare against the known
-    envelope trajectory and the analytic noise gain."""
+    envelope trajectory and the analytic noise gain.
+
+    The envelope error and the spurs are measured on the chain's output for
+    the whole stream; the empirical noise gain on a second run, of the
+    stream's ADC noise alone."""
     settle = _check_experiment_length(chain, count)
     out = run(chain, synthesize(spec, chain.carrier, count))
     k_out = chain.decimation_phase + np.arange(len(out.seq)) * chain.decimation
@@ -234,15 +259,12 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
 
     gain = stderr = None
     if spec.noise_sigma > 0.0:
-        quiet = run(chain, synthesize(replace(spec, noise_sigma=0.0), chain.carrier, count))
-        noise = (out.seq.values - quiet.seq.values)[j0:]
-        power = np.abs(noise) ** 2
-        gain = float(np.mean(power)) / (4.0 * spec.noise_sigma**2)
+        power = _noise_power(chain, spec.noise_sigma, spec.seed, count, j0)
+        scale = 4.0 * spec.noise_sigma**2
+        gain = float(np.mean(power)) / scale
         blocks = min(16, len(power))
         per_block = [float(np.mean(p)) for p in np.array_split(power, blocks)]
-        stderr = float(np.std(per_block, ddof=1) / math.sqrt(blocks)) / (
-            4.0 * spec.noise_sigma**2
-        )
+        stderr = float(np.std(per_block, ddof=1) / math.sqrt(blocks)) / scale
 
     return ExperimentReport(
         rms_envelope_error=rms_error,
@@ -258,24 +280,29 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
 def noise_gain_study(
     spec: SignalSpec, chain: DdcChain, count: int, seeds: Sequence[int]
 ) -> analysis.NormReport:
-    """Monte-Carlo noise gain over several seeds, as a norm report.
+    """Monte-Carlo noise gain over several distinct seeds, as a norm report.
 
-    The deterministic part of the stream is synthesized once and subtracted
-    from every noisy run, so the estimate isolates the filtered ADC noise.
+    Every stage of the chain is linear, so each seed's estimate comes from one
+    run of the chain on that seed's ADC noise alone.  By linearity, only
+    ``spec.noise_sigma`` affects the estimate: the envelope, harmonics, DC
+    offset and ``spec.seed`` do not.
     """
     if spec.noise_sigma <= 0.0:
         raise UsageError("noise study needs noise_sigma > 0")
     if len(seeds) < 2:
         raise UsageError("need at least two seeds for a standard error")
+    for seed in seeds:
+        _check_seed(seed)
+    if len(set(seeds)) != len(seeds):
+        raise UsageError("noise study seeds must be distinct")
     j0 = _first_clean_output(chain)
     if j0 >= len(range(chain.decimation_phase, count, chain.decimation)):
         raise UsageError("no post-transient output samples to evaluate")
-    quiet = run(chain, synthesize(replace(spec, noise_sigma=0.0), chain.carrier, count))
-    gains = []
-    for seed in seeds:
-        out = run(chain, synthesize(replace(spec, seed=seed), chain.carrier, count))
-        noise = (out.seq.values - quiet.seq.values)[j0:]
-        gains.append(float(np.mean(np.abs(noise) ** 2)) / (4.0 * spec.noise_sigma**2))
+    scale = 4.0 * spec.noise_sigma**2
+    gains = [
+        float(np.mean(_noise_power(chain, spec.noise_sigma, seed, count, j0))) / scale
+        for seed in seeds
+    ]
     gains_arr = np.asarray(gains)
     return analysis.NormReport(
         value=float(np.mean(gains_arr)),

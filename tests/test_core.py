@@ -241,3 +241,23 @@ def test_decimate_rejects_bad_phase():
 def test_decimate_preserves_sequence_type():
     x = dk.RealSeq(np.arange(6.0))
     assert isinstance(dk.decimate(x, 2), dk.RealSeq)
+
+
+# ------------------------------------------------------ integer arguments
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.decimate(dk.ComplexSeq(np.arange(6)), 2, True),
+        lambda: dk.decimate(dk.ComplexSeq(np.arange(6)), True, 0),
+        lambda: dk.multirate_norm_sq([dk.make_ma(3)], dk.make_lp(0.1, 1.0), True),
+        lambda: dk.CarrierConfig(True, 4),
+        lambda: dk.alias_map(True, dk.CarrierConfig(7, 33)),
+        lambda: dk.make_ma(True),
+    ],
+    ids=["decimate-phase", "decimate-factor", "multirate-factor", "carrier",
+         "alias-order", "ma-length"],
+)
+def test_bool_is_not_an_integer(call):
+    with pytest.raises(dk.UsageError):
+        call()

@@ -278,6 +278,15 @@ def test_cli_simulate_noise_study_rejects_short_runs_up_front(monkeypatch, capsy
     assert "100 samples is too short" in capsys.readouterr().err
 
 
+def test_cli_simulate_rejects_a_negative_seed(capsys):
+    assert (
+        main(["simulate", "--preset", "ess", "--noise", "1", "--seed", "-1",
+              "--samples", "2000"])
+        == 2
+    )
+    assert "seed" in capsys.readouterr().err
+
+
 def test_cli_simulate_trace_out(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert (

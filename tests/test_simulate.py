@@ -62,6 +62,12 @@ def test_signal_spec_validation():
         dk.SignalSpec(harmonics=((2, 0.1), (2, 0.2)))
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+def test_signal_spec_rejects_bad_seeds(seed):
+    with pytest.raises(dk.UsageError, match="seed"):
+        dk.SignalSpec(noise_sigma=1.0, seed=seed)
+
+
 # ---------------------------------------------------------- run_experiment
 
 def test_noise_free_constant_envelope_is_exact():
@@ -186,15 +192,99 @@ def test_noise_gain_study_requires_noise_and_seeds():
         )
 
 
+def test_noise_gain_study_rejects_repeated_or_bad_seeds():
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.DdcChain(carrier, dk.make_ma(11))
+    spec = dk.SignalSpec(noise_sigma=1.0)
+    with pytest.raises(dk.UsageError, match="distinct"):
+        dk.noise_gain_study(spec, chain, 10_000, [3, 3])
+    with pytest.raises(dk.UsageError, match="seed"):
+        dk.noise_gain_study(spec, chain, 10_000, [0, -1])
+
+
+def _noise_alone_gain(chain, sigma, seed, count):
+    """Mean post-transient output power of ``chain`` run on the seeded ADC
+    noise alone, over 4*sigma^2, composed from the public API."""
+    j0 = max(
+        0,
+        math.ceil(
+            (dk.transient_length(chain) - chain.decimation_phase) / chain.decimation
+        ),
+    )
+    noise = sigma * np.random.default_rng(seed).standard_normal(count)
+    out = dk.run(chain, dk.RealSeq(noise))
+    return float(np.mean(np.abs(out.seq.values[j0:]) ** 2)) / (4.0 * sigma**2)
+
+
+def _study_chain():
+    carrier = dk.CarrierConfig(7, 33)
+    return dk.make_chain(
+        carrier,
+        dk.make_2sr(carrier),
+        lp_bandwidth=0.01 * 2 * math.pi / carrier.sample_period,
+        decimation=3,
+        decimation_phase=1,
+    )
+
+
+def test_noise_gain_study_runs_the_chain_once_per_seed(monkeypatch):
+    calls = []
+    real_run = dk.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr("ddckit.simulate.run", counting_run)
+    spec = dk.SignalSpec(dk.ConstantEnvelope(0.7 - 0.4j), noise_sigma=1.3)
+    dk.noise_gain_study(spec, _study_chain(), 5_000, [2, 5, 11])
+    assert len(calls) == 3
+
+
+def test_noise_gain_study_is_the_noise_alone_composition():
+    chain = _study_chain()
+    sigma, count, seeds = 1.3, 20_000, [4, 7, 9]
+    spec = dk.SignalSpec(dk.ConstantEnvelope(0.7 - 0.4j), noise_sigma=sigma)
+    study = dk.noise_gain_study(spec, chain, count, seeds)
+    gains = np.array([_noise_alone_gain(chain, sigma, s, count) for s in seeds])
+    assert study.value == float(np.mean(gains))
+    assert study.stderr == float(np.std(gains, ddof=1) / math.sqrt(len(seeds)))
+
+
+def test_noise_gain_study_depends_only_on_the_noise():
+    chain = _study_chain()
+    loaded = dk.SignalSpec(
+        dk.ConstantEnvelope(1 + 2j),
+        noise_sigma=0.8,
+        dc_offset=0.05,
+        harmonics=((3, 0.2 - 0.1j),),
+        seed=17,
+    )
+    bare = dk.SignalSpec(dk.ConstantEnvelope(0.0), noise_sigma=0.8)
+    seeds = [1, 2, 3, 4]
+    assert dk.noise_gain_study(loaded, chain, 20_000, seeds) == dk.noise_gain_study(
+        bare, chain, 20_000, seeds
+    )
+
+
+def test_run_experiment_noise_gain_is_the_noise_alone_composition():
+    chain = _study_chain()
+    spec = dk.SignalSpec(
+        dk.ConstantEnvelope(0.7 - 0.4j), noise_sigma=1.3, dc_offset=0.01, seed=23
+    )
+    report = dk.run_experiment(spec, chain, 20_000)
+    assert report.noise_gain_empirical == _noise_alone_gain(chain, 1.3, 23, 20_000)
+
+
 def test_noise_gain_study_rejects_runs_with_no_clean_output(monkeypatch):
     # MA(14) decimated by 14: 14 samples give one output, still in the transient.
     carrier = dk.CarrierConfig(3, 14)
     chain = dk.DdcChain(carrier, dk.make_ma(14), decimation=14)
 
-    def no_synthesis(*args, **kwargs):
-        raise AssertionError("synthesized a stream for an empty study")
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the chain for an empty study")
 
-    monkeypatch.setattr("ddckit.simulate.synthesize", no_synthesis)
+    monkeypatch.setattr("ddckit.simulate.run", no_run)
     with pytest.raises(dk.UsageError, match="post-transient"):
         dk.noise_gain_study(dk.SignalSpec(noise_sigma=1.0), chain, 14, [0, 1])
 
