@@ -127,8 +127,6 @@ def _materialize(stages: list[ComplexFilter]) -> tuple[np.ndarray, list[complex]
     for stage in stages:
         taps = np.convolve(taps, stage.taps)
         if stage.pole is not None:
-            if abs(stage.pole) >= 1.0:
-                raise DomainError("cascade contains an unstable stage")
             poles.append(stage.pole)
     return taps, poles
 
@@ -288,13 +286,13 @@ def phase_metrics(
     """
     stages = _as_stages(obj)
     theta = omega * sample_period
-    center = complex(freq_response(stages, np.array([theta]))[0])
-    if abs(center) <= 1e-9:
-        raise DomainError("phase is undefined at a response zero")
-
     steps = max(8, int(math.ceil(abs(theta) / 0.01)))
+    # The path from zero frequency ends exactly at theta.
     path = np.linspace(0.0, theta, steps + 1)
-    phase = float(np.unwrap(np.angle(freq_response(stages, path)))[-1])
+    resp = freq_response(stages, path)
+    if abs(resp[-1]) <= 1e-9:
+        raise DomainError("phase is undefined at a response zero")
+    phase = float(np.unwrap(np.angle(resp))[-1])
 
     w = complex(math.cos(theta), -math.sin(theta))
     # 1 - w, without cancellation near zero frequency.

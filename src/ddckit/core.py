@@ -2,9 +2,15 @@
 
 Everything downstream (filter constructors, chain composition, analysis) is
 built on the small set of types defined here.  All arithmetic is double
-precision; filters have complex coefficients and are evaluated in direct form
-via :func:`scipy.signal.lfilter`, with explicit state objects so that block
-processing is exactly equivalent to one-shot processing.
+precision.  Filters have complex coefficients; the FIR part is a direct sum
+over the taps in ascending order, and :func:`scipy.signal.lfilter` runs only
+the pole.  Explicit state objects make block processing exactly equivalent
+to one-shot processing.
+
+Samples are validated where they enter: building a :class:`RealSeq` or
+:class:`ComplexSeq` checks them once.  Code inside the package that computes
+a new array from validated samples runs private array kernels and wraps only
+the result it returns.
 """
 
 from __future__ import annotations
@@ -121,6 +127,11 @@ def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
     return arr
 
 
+def _check_start(start, what: str) -> None:
+    if not _is_int(start):
+        raise UsageError(f"{what} start must be an integer, not {start!r}")
+
+
 @dataclass(frozen=True)
 class RealSeq:
     """Real-valued sample sequence with an absolute start index.
@@ -134,6 +145,7 @@ class RealSeq:
     start: int = 0
 
     def __post_init__(self) -> None:
+        _check_start(self.start, "RealSeq")
         if np.iscomplexobj(self.values):
             raise UsageError("RealSeq requires real-valued samples")
         object.__setattr__(
@@ -156,6 +168,7 @@ class ComplexSeq:
     start: int = 0
 
     def __post_init__(self) -> None:
+        _check_start(self.start, "ComplexSeq")
         object.__setattr__(
             self, "values", _validated_samples(self.values, np.complex128, "ComplexSeq")
         )
@@ -222,7 +235,7 @@ class ComplexFilter:
         x = np.zeros(count, dtype=np.complex128)
         if count > 0:
             x[0] = 1.0
-        return apply_filter(self, ComplexSeq(x)).values
+        return _filter_block(self, FilterState(self), x)
 
     @property
     def dc_gain(self) -> complex:
@@ -252,23 +265,17 @@ class FilterState:
             self._carry[:] = 0.0
 
 
-def filter_stream(
-    filt: ComplexFilter, state: FilterState, x: RealSeq | ComplexSeq
-) -> ComplexSeq:
-    """Run one block of samples through ``filt``, updating ``state`` in place.
-
-    Output sample k is ``sum_m taps[m] * x[k-m]`` (taps summed in ascending
-    order, every sample, so results are bit-reproducible across block splits
-    and input delays), fed through ``y[k] = pole*y[k-1] + v[k]`` when the
-    filter has a pole.  Initial conditions are whatever ``state`` holds (all
-    zeros after reset).  Output start index equals input start index.
-    """
-    if state.filter is not filt:
-        raise UsageError("filter state belongs to a different filter")
-    values = np.asarray(x.values, dtype=np.complex128)
+def _filter_block(
+    filt: ComplexFilter, state: FilterState, values: np.ndarray
+) -> np.ndarray:
+    """The array kernel of :func:`filter_stream`: filter one block of
+    samples, real or complex, and return the complex output array."""
+    values = np.asarray(values, dtype=np.complex128)
     count = len(values)
     if count == 0:
-        return ComplexSeq(values, x.start)
+        # For an empty block lfilter does not hand back the carry it was
+        # given (scipy 1.17 returns uninitialised memory); keep the state.
+        return values
     taps = filt.taps
     length = len(taps)
     if length == 1:
@@ -286,7 +293,23 @@ def filter_stream(
             v,
             zi=state._carry,
         )
-    return ComplexSeq(v, x.start)
+    return v
+
+
+def filter_stream(
+    filt: ComplexFilter, state: FilterState, x: RealSeq | ComplexSeq
+) -> ComplexSeq:
+    """Run one block of samples through ``filt``, updating ``state`` in place.
+
+    Output sample k is ``sum_m taps[m] * x[k-m]`` (taps summed in ascending
+    order, every sample, so results are bit-reproducible across block splits
+    and input delays), fed through ``y[k] = pole*y[k-1] + v[k]`` when the
+    filter has a pole.  Initial conditions are whatever ``state`` holds (all
+    zeros after reset).  Output start index equals input start index.
+    """
+    if state.filter is not filt:
+        raise UsageError("filter state belongs to a different filter")
+    return ComplexSeq(_filter_block(filt, state, x.values), x.start)
 
 
 def apply_filter(filt: ComplexFilter, x: RealSeq | ComplexSeq) -> ComplexSeq:

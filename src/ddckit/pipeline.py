@@ -20,9 +20,8 @@ from .core import (
     FilterState,
     RealSeq,
     UsageError,
+    _filter_block,
     _is_int,
-    decimate,
-    filter_stream,
 )
 from .filters import make_lp, to_baseband
 
@@ -145,6 +144,14 @@ def make_chain(
     )
 
 
+def _mix(values: np.ndarray, start: int, carrier: CarrierConfig) -> np.ndarray:
+    """The array kernel of :func:`mix_down`; ``start`` is the absolute index
+    of ``values[0]``."""
+    table = carrier.mixer_phases()
+    k = (start + np.arange(len(values))) % carrier.samples
+    return 2.0 * values * table[k]
+
+
 def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
     """Multiply by ``2*exp(-1j*phase_step*k)`` with k the absolute sample index.
 
@@ -153,9 +160,7 @@ def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
     indices and places the conjugate image of a constant envelope exactly on
     the double-frequency line.
     """
-    table = carrier.mixer_phases()
-    k = (y.start + np.arange(len(y.values))) % carrier.samples
-    return ComplexSeq(2.0 * np.asarray(y.values) * table[k], start=y.start)
+    return ComplexSeq(_mix(y.values, y.start, carrier), start=y.start)
 
 
 @dataclass(frozen=True)
@@ -206,17 +211,16 @@ def group_delay_seconds(chain: DdcChain) -> float:
     return total
 
 
-def _filter(stage: _Stage, x: RealSeq | ComplexSeq) -> ComplexSeq:
-    return filter_stream(stage.filter, FilterState(stage.filter), x)
-
-
 def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     """Push a block of ADC samples through the chain from zero filter state.
 
     The input must at least cover the chain transient.  Passband stages run
     on ``y``, then the mixer, the baseband stages before the decimator, the
-    decimator and the stages after it.  Output sample j sits at absolute
-    input index ``y.start + decimation_phase + j*decimation``; like
+    decimator and the stages after it.  ``y`` was validated when it was
+    built, so the stages pass plain arrays along, through the same kernels
+    as :func:`~ddckit.core.filter_stream` and :func:`mix_down`, and only the
+    output is wrapped in a sequence.  Output sample j sits at absolute input
+    index ``y.start + decimation_phase + j*decimation``; like
     :func:`~ddckit.core.decimate`, the output is re-indexed, so
     ``out.seq.start`` is 0 whatever ``y.start`` is.  Output blocks that
     carry absolute indices belong to streamable chains (ROADMAP item 4).
@@ -226,20 +230,22 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
             f"input of {len(y)} samples is shorter than the chain transient "
             f"({transient_length(chain)} samples)"
         )
-    x: RealSeq | ComplexSeq = y
+    # Each stage rebinds ``v``, so no stage's input outlives its use.
+    v = y.values
     for stage in chain._stages:
         if stage.filter.domain is Domain.PASSBAND:
-            x = _filter(stage, x)
-    z = mix_down(x, chain.carrier)
+            v = _filter_block(stage.filter, FilterState(stage.filter), v)
+    v = _mix(v, y.start, chain.carrier)
     for stage in chain._stages:
         if stage.filter.domain is Domain.BASEBAND and not stage.decimated:
-            z = _filter(stage, z)
-    z = decimate(z, chain.decimation, chain.decimation_phase)
+            v = _filter_block(stage.filter, FilterState(stage.filter), v)
+    # DdcChain has validated the factor and the phase.
+    v = v[chain.decimation_phase :: chain.decimation]
     for stage in chain._stages:
         if stage.decimated:
-            z = _filter(stage, z)
+            v = _filter_block(stage.filter, FilterState(stage.filter), v)
     return DdcOutput(
-        seq=z,
+        seq=ComplexSeq(v),
         sample_period=chain.output_period,
         group_delay=group_delay_seconds(chain),
         decimation_delay=0.5 * chain.output_period,

@@ -12,7 +12,9 @@ per spec, which pins every experiment to a reproducible stream.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -94,16 +96,29 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
-            raise UsageError("noise_sigma must be finite and non-negative")
-        if not math.isfinite(self.dc_offset):
-            raise UsageError("dc_offset must be finite")
-        orders = [m for m, _ in self.harmonics]
-        if any(not _is_int(m) or m < 2 for m in orders):
-            raise UsageError("harmonic orders must be integers >= 2")
+        if not (_is_number(self.noise_sigma, numbers.Real) and self.noise_sigma >= 0.0):
+            raise UsageError("noise_sigma must be a finite, non-negative real number")
+        if not _is_number(self.dc_offset, numbers.Real):
+            raise UsageError("dc_offset must be a finite real number")
+        orders = []
+        for harmonic in self.harmonics:
+            try:
+                order, amplitude = harmonic
+            except (TypeError, ValueError):
+                raise UsageError("harmonics must be (order, amplitude) pairs") from None
+            if not _is_int(order) or order < 2:
+                raise UsageError("harmonic orders must be integers >= 2")
+            if not _is_number(amplitude, numbers.Complex):
+                raise UsageError("harmonic amplitudes must be finite numbers")
+            orders.append(order)
         if len(set(orders)) != len(orders):
             raise UsageError("harmonic orders must be distinct")
         _check_seed(self.seed)
+
+
+def _is_number(value, kind: type) -> bool:
+    """True for a finite number of the abstract ``kind`` that is not a ``bool``."""
+    return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
 
 
 def _check_seed(seed) -> None:
@@ -116,6 +131,21 @@ def _adc_noise(sigma: float, seed: int, count: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal(count)
 
 
+def _clean_samples(spec: SignalSpec, carrier: CarrierConfig, count: int) -> np.ndarray:
+    """The deterministic part of a stream: every term of :func:`synthesize`
+    but the noise, as a new array."""
+    k = np.arange(count)
+    idx = k % carrier.samples
+    carrier_pos = np.conj(carrier.mixer_phases())  # exp(+1j*step*k), one block
+    y = (spec.envelope.at(k) * carrier_pos[idx]).real.copy()
+    for order, amplitude in spec.harmonics:
+        table = np.exp(1j * (order * carrier.phase_step) * np.arange(carrier.samples))
+        y += (complex(amplitude) * table[idx]).real
+    if spec.dc_offset:
+        y += spec.dc_offset
+    return y
+
+
 def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
     """Generate ``count`` ADC samples starting at absolute index zero.
 
@@ -126,15 +156,7 @@ def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
     """
     if count < 1:
         raise UsageError("need at least one sample")
-    k = np.arange(count)
-    idx = k % carrier.samples
-    carrier_pos = np.conj(carrier.mixer_phases())  # exp(+1j*step*k), one block
-    y = (spec.envelope.at(k) * carrier_pos[idx]).real.copy()
-    for order, amplitude in spec.harmonics:
-        table = np.exp(1j * (order * carrier.phase_step) * np.arange(carrier.samples))
-        y += (complex(amplitude) * table[idx]).real
-    if spec.dc_offset:
-        y += spec.dc_offset
+    y = _clean_samples(spec, carrier, count)
     if spec.noise_sigma > 0.0:
         y += _adc_noise(spec.noise_sigma, spec.seed, count)
     return RealSeq(y, start=0)
@@ -165,12 +187,10 @@ def _first_clean_output(chain: DdcChain) -> int:
     return max(0, math.ceil((settle - chain.decimation_phase) / chain.decimation))
 
 
-def _noise_power(
-    chain: DdcChain, sigma: float, seed: int, count: int, j0: int
-) -> np.ndarray:
-    """Output power of the chain run on seeded ADC noise alone, from output
-    sample ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain."""
-    out = run(chain, RealSeq(_adc_noise(sigma, seed, count)))
+def _noise_power(chain: DdcChain, noise: RealSeq, j0: int) -> np.ndarray:
+    """Output power of the chain run on ADC noise alone, from output sample
+    ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain."""
+    out = run(chain, noise)
     return np.abs(out.seq.values[j0:]) ** 2
 
 
@@ -238,9 +258,15 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
 
     The envelope error and the spurs are measured on the chain's output for
     the whole stream; the empirical noise gain on a second run, of the
-    stream's ADC noise alone."""
+    stream's ADC noise alone.  The noise is drawn once, for both runs."""
     settle = _check_experiment_length(chain, count)
-    out = run(chain, synthesize(spec, chain.carrier, count))
+    y = _clean_samples(spec, chain.carrier, count)
+    noise = None
+    if spec.noise_sigma > 0.0:
+        noise = RealSeq(_adc_noise(spec.noise_sigma, spec.seed, count))
+        y += noise.values
+    out = run(chain, RealSeq(y))
+    del y
     k_out = chain.decimation_phase + np.arange(len(out.seq)) * chain.decimation
     expected = spec.envelope.at(k_out)
     j0 = _first_clean_output(chain)
@@ -258,8 +284,8 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
         spur_db = 20.0 * math.log10(max(spur_amp, 1e-300) / (ref if ref > 0 else 1.0))
 
     gain = stderr = None
-    if spec.noise_sigma > 0.0:
-        power = _noise_power(chain, spec.noise_sigma, spec.seed, count, j0)
+    if noise is not None:
+        power = _noise_power(chain, noise, j0)
         scale = 4.0 * spec.noise_sigma**2
         gain = float(np.mean(power)) / scale
         blocks = min(16, len(power))
@@ -299,10 +325,10 @@ def noise_gain_study(
     if j0 >= len(range(chain.decimation_phase, count, chain.decimation)):
         raise UsageError("no post-transient output samples to evaluate")
     scale = 4.0 * spec.noise_sigma**2
-    gains = [
-        float(np.mean(_noise_power(chain, spec.noise_sigma, seed, count, j0))) / scale
-        for seed in seeds
-    ]
+    gains = []
+    for seed in seeds:
+        noise = RealSeq(_adc_noise(spec.noise_sigma, seed, count))
+        gains.append(float(np.mean(_noise_power(chain, noise, j0))) / scale)
     gains_arr = np.asarray(gains)
     return analysis.NormReport(
         value=float(np.mean(gains_arr)),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddckit as dk
@@ -70,6 +70,13 @@ def test_sequence_start_index():
     s = dk.ComplexSeq(np.arange(5), start=10)
     assert len(s) == 5
     assert s.end == 15
+
+
+@pytest.mark.parametrize("seq", [dk.RealSeq, dk.ComplexSeq])
+@pytest.mark.parametrize("start", [0.5, "3", None, True], ids=["float", "str", "none", "bool"])
+def test_sequences_reject_a_non_integer_start(seq, start):
+    with pytest.raises(dk.UsageError, match="start"):
+        seq(np.arange(4.0), start=start)
 
 
 def test_sequence_values_are_frozen():
@@ -164,6 +171,9 @@ def test_fir_streaming_blocks_match_one_shot_bitwise(taps, data, split):
     pole_arg=st.floats(min_value=-math.pi, max_value=math.pi),
 )
 @settings(max_examples=60, deadline=None)
+# An empty first or last block must leave the pole's carry as it is.
+@example(data=[1.0, 2.0 - 1.0j, 0.5j], split=0, pole_mag=0.9, pole_arg=0.3)
+@example(data=[1.0, 2.0 - 1.0j, 0.5j], split=3, pole_mag=0.9, pole_arg=0.3)
 def test_iir_streaming_blocks_match_one_shot(data, split, pole_mag, pole_arg):
     pole = pole_mag * complex(math.cos(pole_arg), math.sin(pole_arg))
     f = dk.ComplexFilter(np.array([1.0 - pole_mag]), pole=pole)

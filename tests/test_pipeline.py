@@ -206,7 +206,9 @@ def _through(filt, x):
 
 
 @pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chain_shapes()))
-def test_chain_shape_matches_its_explicit_stages(pre_mixer, lowpass, decimation, phase):
+def test_chain_shape_matches_its_explicit_stages(
+    pre_mixer, lowpass, decimation, phase, monkeypatch
+):
     # Every chain number is spelled out from the public primitives, stage by
     # stage, and must match exactly: low-pass before or after the decimator
     # (including after it at decimation 1), with and without a pre-mixer.
@@ -231,7 +233,17 @@ def test_chain_shape_matches_its_explicit_stages(pre_mixer, lowpass, decimation,
     z = dk.decimate(z, decimation, phase)
     if after:
         z = _through(chain.lowpass, z)
+    # The input was validated when it was built; run validates only its output.
+    validations = []
+    validate = dk.core._validated_samples
+
+    def counting_validate(*args, **kwargs):
+        validations.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr("ddckit.core._validated_samples", counting_validate)
     out = dk.run(chain, y)
+    assert len(validations) == 1
     assert out.seq.values.tobytes() == z.values.tobytes()
     assert out.seq.start == 0
     assert out.sample_period == h * decimation

@@ -68,6 +68,26 @@ def test_signal_spec_rejects_bad_seeds(seed):
         dk.SignalSpec(noise_sigma=1.0, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"noise_sigma": "1"},
+        {"noise_sigma": True},
+        {"noise_sigma": math.nan},
+        {"dc_offset": "x"},
+        {"dc_offset": True},
+        {"harmonics": ((2, "a"),)},
+        {"harmonics": ((2, math.inf),)},
+        {"harmonics": ((2,),)},
+    ],
+    ids=["sigma-str", "sigma-bool", "sigma-nan", "offset-str", "offset-bool",
+         "amplitude-str", "amplitude-inf", "harmonic-not-a-pair"],
+)
+def test_signal_spec_rejects_bad_types(kwargs):
+    with pytest.raises(dk.UsageError):
+        dk.SignalSpec(**kwargs)
+
+
 # ---------------------------------------------------------- run_experiment
 
 def test_noise_free_constant_envelope_is_exact():
@@ -274,6 +294,20 @@ def test_run_experiment_noise_gain_is_the_noise_alone_composition():
     )
     report = dk.run_experiment(spec, chain, 20_000)
     assert report.noise_gain_empirical == _noise_alone_gain(chain, 1.3, 23, 20_000)
+
+
+def test_run_experiment_draws_its_noise_once(monkeypatch):
+    calls = []
+    real_noise = dk.simulate._adc_noise
+
+    def counting_noise(*args, **kwargs):
+        calls.append(1)
+        return real_noise(*args, **kwargs)
+
+    monkeypatch.setattr("ddckit.simulate._adc_noise", counting_noise)
+    spec = dk.SignalSpec(dk.ConstantEnvelope(0.7 - 0.4j), noise_sigma=1.3, seed=23)
+    dk.run_experiment(spec, _study_chain(), 20_000)
+    assert len(calls) == 1
 
 
 def test_noise_gain_study_rejects_runs_with_no_clean_output(monkeypatch):
