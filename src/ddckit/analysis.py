@@ -284,6 +284,10 @@ def phase_metrics(
     ``Re(p w / (1 - p w))`` for its pole.  The evaluation frequency must not
     sit on a response zero.
     """
+    if not math.isfinite(omega):
+        raise UsageError("frequency must be finite")
+    if not (sample_period > 0 and math.isfinite(sample_period)):
+        raise UsageError("sample period must be positive")
     stages = _as_stages(obj)
     theta = omega * sample_period
     steps = max(8, int(math.ceil(abs(theta) / 0.01)))

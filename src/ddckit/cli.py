@@ -120,7 +120,9 @@ def cmd_freq_response(args) -> int:
 def cmd_norm(args) -> int:
     stages, carrier = _stages_from(args)
     period = carrier.sample_period if carrier is not None else 1.0
-    if args.lp is not None and args.lp_after_decimation:
+    if args.lp_after_decimation and args.lp is None:
+        raise UsageError("--lp-after-decimation needs --lp")
+    if args.lp_after_decimation:
         lowrate = make_lp(args.lp * _TWO_PI / period, period * args.decimate)
         report = multirate_norm_sq(stages, lowrate, args.decimate)
     else:

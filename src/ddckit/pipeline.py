@@ -165,19 +165,32 @@ def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
 
 @dataclass(frozen=True)
 class DdcOutput:
-    """Chain output plus its timing metadata.
+    """Chain output and the chain that produced it.
 
-    ``group_delay`` is the sum of per-stage group delays at zero baseband
-    frequency, in seconds.  ``decimation_delay`` is the extra effective delay
-    of holding the output over a controller period (half the output period)
-    and is reported separately because it is a property of the consumer's
-    sampling, not of the filters.
+    The output's timing belongs to the chain, so it is read from ``chain``
+    when asked for, not computed on every block.  ``group_delay`` is the sum
+    of per-stage group delays at zero baseband frequency, in seconds; it
+    raises :class:`~ddckit.core.DomainError` when a stage has a response zero
+    there, although the samples are well defined.  ``decimation_delay`` is
+    the extra effective delay of holding the output over a controller period
+    (half the output period) and is reported separately because it is a
+    property of the consumer's sampling, not of the filters.
     """
 
     seq: ComplexSeq
-    sample_period: float
-    group_delay: float
-    decimation_delay: float
+    chain: DdcChain
+
+    @property
+    def sample_period(self) -> float:
+        return self.chain.output_period
+
+    @property
+    def group_delay(self) -> float:
+        return group_delay_seconds(self.chain)
+
+    @property
+    def decimation_delay(self) -> float:
+        return 0.5 * self.chain.output_period
 
 
 def _settling_horizon(pole: complex | None) -> int:
@@ -224,6 +237,8 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     :func:`~ddckit.core.decimate`, the output is re-indexed, so
     ``out.seq.start`` is 0 whatever ``y.start`` is.  Output blocks that
     carry absolute indices belong to streamable chains (ROADMAP item 4).
+    The output's timing is not computed here: :class:`DdcOutput` reads it
+    from the chain on demand, so a block costs only its stages' arithmetic.
     """
     if len(y) < max(1, transient_length(chain)):
         raise UsageError(
@@ -244,9 +259,4 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     for stage in chain._stages:
         if stage.decimated:
             v = _filter_block(stage.filter, FilterState(stage.filter), v)
-    return DdcOutput(
-        seq=ComplexSeq(v),
-        sample_period=chain.output_period,
-        group_delay=group_delay_seconds(chain),
-        decimation_delay=0.5 * chain.output_period,
-    )
+    return DdcOutput(ComplexSeq(v), chain)

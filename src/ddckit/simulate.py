@@ -16,7 +16,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .pipeline import DdcChain, run, transient_length
 class ConstantEnvelope:
     value: complex = 1.0
 
+    def __post_init__(self) -> None:
+        _check_amplitudes(self.value)
+
     def at(self, k: np.ndarray) -> np.ndarray:
         return np.full(len(k), complex(self.value), dtype=np.complex128)
 
@@ -41,6 +44,11 @@ class StepEnvelope:
     before: complex
     after: complex
     step_index: int
+
+    def __post_init__(self) -> None:
+        _check_amplitudes(self.before, self.after)
+        if not _is_int(self.step_index):
+            raise UsageError("step_index must be an integer")
 
     def at(self, k: np.ndarray) -> np.ndarray:
         return np.where(
@@ -57,6 +65,11 @@ class PhaseRampEnvelope:
     amplitude: complex = 1.0
     rate: float = 0.0  # rad per input sample
 
+    def __post_init__(self) -> None:
+        _check_amplitudes(self.amplitude)
+        if not _is_number(self.rate, numbers.Real):
+            raise UsageError("rate must be a finite real number")
+
     def at(self, k: np.ndarray) -> np.ndarray:
         return complex(self.amplitude) * np.exp(1j * self.rate * np.asarray(k))
 
@@ -66,6 +79,15 @@ class SampledEnvelope:
     """Explicit envelope trajectory, one value per absolute sample index."""
 
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values)
+        if not (
+            values.ndim == 1
+            and np.issubdtype(values.dtype, np.number)
+            and np.all(np.isfinite(values))
+        ):
+            raise UsageError("sampled envelope values must be a finite 1-D numeric array")
 
     def at(self, k: np.ndarray) -> np.ndarray:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -96,6 +118,11 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.envelope, get_args(Envelope)):
+            raise UsageError(
+                "envelope must be a ConstantEnvelope, StepEnvelope, "
+                f"PhaseRampEnvelope or SampledEnvelope, not {self.envelope!r}"
+            )
         if not (_is_number(self.noise_sigma, numbers.Real) and self.noise_sigma >= 0.0):
             raise UsageError("noise_sigma must be a finite, non-negative real number")
         if not _is_number(self.dc_offset, numbers.Real):
@@ -121,9 +148,19 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
 
 
+def _check_amplitudes(*values) -> None:
+    if not all(_is_number(value, numbers.Complex) for value in values):
+        raise UsageError("envelope values must be finite numbers")
+
+
 def _check_seed(seed) -> None:
     if not _is_int(seed) or seed < 0:
         raise UsageError(f"seed must be a non-negative integer, not {seed!r}")
+
+
+def _check_count(count) -> None:
+    if not _is_int(count) or count < 1:
+        raise UsageError(f"count must be a positive integer, not {count!r}")
 
 
 def _adc_noise(sigma: float, seed: int, count: int) -> np.ndarray:
@@ -154,8 +191,7 @@ def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
     are read from block-periodic tables, so tones land exactly on their grid
     frequencies regardless of length.
     """
-    if count < 1:
-        raise UsageError("need at least one sample")
+    _check_count(count)
     y = _clean_samples(spec, carrier, count)
     if spec.noise_sigma > 0.0:
         y += _adc_noise(spec.noise_sigma, spec.seed, count)
@@ -259,6 +295,7 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     The envelope error and the spurs are measured on the chain's output for
     the whole stream; the empirical noise gain on a second run, of the
     stream's ADC noise alone.  The noise is drawn once, for both runs."""
+    _check_count(count)
     settle = _check_experiment_length(chain, count)
     y = _clean_samples(spec, chain.carrier, count)
     noise = None
@@ -313,6 +350,7 @@ def noise_gain_study(
     ``spec.noise_sigma`` affects the estimate: the envelope, harmonics, DC
     offset and ``spec.seed`` do not.
     """
+    _check_count(count)
     if spec.noise_sigma <= 0.0:
         raise UsageError("noise study needs noise_sigma > 0")
     if len(seeds) < 2:
@@ -343,27 +381,23 @@ def harmonic_bias(
     order: int,
     amplitude: complex,
     count: int,
-    envelope_value: complex = 1.0,
 ) -> complex:
     """Steady-state envelope estimate minus the true envelope when the input
-    carries one harmonic tone.
+    carries one harmonic tone on the constant envelope 1.
 
     Averaging over whole carrier blocks after the transient removes every
     non-zero-frequency image exactly, so what remains is the bias from images
     aliased onto zero baseband frequency (plus float dust).
     """
     chain = DdcChain(carrier, ddc_filter)
-    spec = SignalSpec(
-        envelope=ConstantEnvelope(envelope_value),
-        harmonics=((order, complex(amplitude)),),
-    )
+    spec = SignalSpec(harmonics=((order, complex(amplitude)),))
     out = run(chain, synthesize(spec, carrier, count))
     j0 = _first_clean_output(chain)
     usable = ((len(out.seq) - j0) // carrier.samples) * carrier.samples
     if usable == 0:
         raise UsageError("too few samples to average a whole carrier block")
     window = out.seq.values[j0 : j0 + usable]
-    return complex(np.mean(window) - complex(envelope_value))
+    return complex(np.mean(window) - 1.0)
 
 
 def iq_harmonic_bias(

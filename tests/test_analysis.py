@@ -395,6 +395,15 @@ def test_phase_metrics_rejects_response_zero():
         dk.phase_metrics(dk.make_ma(11), 2 * math.pi / 11, 1.0)
 
 
+@pytest.mark.parametrize(
+    "omega, sample_period",
+    [(math.nan, 1.0), (math.inf, 1.0), (0.0, -1.0), (0.0, 0.0), (0.0, math.inf)],
+)
+def test_phase_metrics_rejects_bad_frequency_or_period(omega, sample_period):
+    with pytest.raises(dk.UsageError):
+        dk.phase_metrics(dk.make_ma(11), omega, sample_period)
+
+
 def test_group_delay_of_narrow_lowpass_is_exact_at_dc():
     f = dk.make_lp(1e-5, 1.0)
     a = f.pole.real

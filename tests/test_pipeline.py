@@ -242,8 +242,18 @@ def test_chain_shape_matches_its_explicit_stages(
         return validate(*args, **kwargs)
 
     monkeypatch.setattr("ddckit.core._validated_samples", counting_validate)
+    # The output's timing is read from the chain on demand, not on every block.
+    timing_calls = {"group_delay_seconds": 0, "phase_metrics": 0}
+    for module, name in ((dk.pipeline, "group_delay_seconds"), (dk.analysis, "phase_metrics")):
+
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            timing_calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
     out = dk.run(chain, y)
     assert len(validations) == 1
+    assert timing_calls == {"group_delay_seconds": 0, "phase_metrics": 0}
     assert out.seq.values.tobytes() == z.values.tobytes()
     assert out.seq.start == 0
     assert out.sample_period == h * decimation
@@ -307,6 +317,18 @@ def test_run_rejects_input_shorter_than_transient():
     chain = dk.DdcChain(carrier, dk.make_ma(33))
     with pytest.raises(dk.UsageError):
         dk.run(chain, dk.RealSeq(np.zeros(16)))
+
+
+def test_run_needs_no_group_delay_when_the_envelope_filter_nulls_dc():
+    # Every output sample is defined; only the group delay at DC is not.
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.DdcChain(carrier, dk.ComplexFilter(np.array([0.5, -0.5])))
+    y = dk.RealSeq(np.random.default_rng(3).standard_normal(200), start=4)
+    out = dk.run(chain, y)
+    expected = _through(chain.ddc, dk.mix_down(y, carrier))
+    assert out.seq.values.tobytes() == expected.values.tobytes()
+    with pytest.raises(dk.DomainError):
+        out.group_delay
 
 
 def test_output_metadata_periods_and_delays():

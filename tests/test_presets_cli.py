@@ -179,6 +179,14 @@ def test_cli_norm_multirate_matches_library(capsys):
     assert value == pytest.approx(expected, rel=1e-5)
 
 
+def test_cli_norm_lp_after_decimation_needs_lp(capsys):
+    args = ["norm", "--filter", "ma:14", "--carrier", "3/14", "--decimate", "14"]
+    assert main(args + ["--lp-after-decimation"]) == 2
+    assert "--lp" in capsys.readouterr().err
+    # Decimating after the filters leaves the per-sample noise gain as it is.
+    assert main(args) == 0
+
+
 def test_cli_tune_middle_group(capsys):
     assert (
         main(["tune", "--filter", "2sr", "--carrier", "7/33",

@@ -88,6 +88,47 @@ def test_signal_spec_rejects_bad_types(kwargs):
         dk.SignalSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "make_envelope",
+    [
+        lambda: 3,
+        lambda: dk.ConstantEnvelope("x"),
+        lambda: dk.ConstantEnvelope(math.nan),
+        lambda: dk.ConstantEnvelope(True),
+        lambda: dk.StepEnvelope(0.0, math.inf, 3),
+        lambda: dk.StepEnvelope(0.0, 1.0, 2.5),
+        lambda: dk.StepEnvelope(0.0, 1.0, True),
+        lambda: dk.PhaseRampEnvelope(1.0, 0.1j),
+        lambda: dk.PhaseRampEnvelope(1.0, math.nan),
+        lambda: dk.PhaseRampEnvelope("1", 0.1),
+        lambda: dk.SampledEnvelope(np.ones((2, 3))),
+        lambda: dk.SampledEnvelope(np.array([1.0, math.nan])),
+        lambda: dk.SampledEnvelope(np.array(["a", "b"])),
+    ],
+    ids=["int", "constant-str", "constant-nan", "constant-bool", "step-inf",
+         "step-index-float", "step-index-bool", "ramp-complex-rate", "ramp-nan-rate",
+         "ramp-str-amplitude", "sampled-2d", "sampled-nan", "sampled-str"],
+)
+def test_signal_spec_rejects_bad_envelopes(make_envelope):
+    with pytest.raises(dk.UsageError):
+        dk.SignalSpec(envelope=make_envelope())
+
+
+@pytest.mark.parametrize("count", [2.5, True, "10"])
+@pytest.mark.parametrize("entry", ["synthesize", "run_experiment", "noise_gain_study"])
+def test_sample_counts_must_be_positive_integers(entry, count):
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.DdcChain(carrier, dk.make_2sr(carrier))
+    spec = dk.SignalSpec(noise_sigma=1.0)
+    calls = {
+        "synthesize": lambda: dk.synthesize(spec, carrier, count),
+        "run_experiment": lambda: dk.run_experiment(spec, chain, count),
+        "noise_gain_study": lambda: dk.noise_gain_study(spec, chain, count, [0, 1]),
+    }
+    with pytest.raises(dk.UsageError, match="count"):
+        calls[entry]()
+
+
 # ---------------------------------------------------------- run_experiment
 
 def test_noise_free_constant_envelope_is_exact():
