@@ -114,6 +114,8 @@ def freq_response(obj: FilterOrCascade, grid) -> np.ndarray:
     information; grids here always span both sides.
     """
     thetas = _thetas(grid)
+    if not np.isfinite(thetas).all():
+        raise UsageError("frequencies must be finite")
     resp = np.ones_like(thetas, dtype=np.complex128)
     for stage in _as_stages(obj):
         resp = resp * stage.response(thetas)
@@ -208,6 +210,8 @@ def multirate_norm_sq(
     """
     if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
+    if not isinstance(outer_lowrate, ComplexFilter):
+        raise UsageError("the low-rate filter must be a ComplexFilter")
     taps, inner_poles = _materialize(_as_stages(inner))
     poles: list[complex] = []
     gaps: list[complex] = []

@@ -10,7 +10,9 @@ to one-shot processing.
 Samples are validated where they enter: building a :class:`RealSeq` or
 :class:`ComplexSeq` checks them once.  Code inside the package that computes
 a new array from validated samples runs private array kernels and wraps only
-the result it returns.
+the result it returns.  The filter kernel can compute an FIR at the kept
+samples of a decimator alone (polyphase decimation), in the same tap order,
+so the kept outputs are bitwise those of the full computation.
 """
 
 from __future__ import annotations
@@ -266,25 +268,41 @@ class FilterState:
 
 
 def _filter_block(
-    filt: ComplexFilter, state: FilterState, values: np.ndarray
+    filt: ComplexFilter,
+    state: FilterState,
+    values: np.ndarray,
+    keep: tuple[int, int] = (0, 1),
 ) -> np.ndarray:
     """The array kernel of :func:`filter_stream`: filter one block of
-    samples, real or complex, and return the complex output array."""
+    samples, real or complex, and return the complex output array.
+
+    ``keep = (first, step)`` returns only the outputs ``first::step`` of the
+    block, bitwise equal to slicing the full output, and leaves the same
+    state behind.  A plain FIR computes ``taps[0]*x[k] + taps[1]*x[k-1] +
+    ...``, in ascending tap order, only at the kept ``k`` (polyphase
+    decimation); the delay line still advances over the whole block.  A
+    filter with a pole needs every output for its recursion, so it computes
+    them all and then slices.
+    """
     values = np.asarray(values, dtype=np.complex128)
     count = len(values)
     if count == 0:
         # For an empty block lfilter does not hand back the carry it was
         # given (scipy 1.17 returns uninitialised memory); keep the state.
         return values
+    first, step = (0, 1) if filt.pole is not None else keep
     taps = filt.taps
     length = len(taps)
     if length == 1:
-        v = taps[0] * values
+        v = taps[0] * values[first::step]
     else:
         history = np.concatenate([state._delay, values])
-        v = taps[0] * history[length - 1 :]
+        v = taps[0] * history[length - 1 + first :: step]
+        tmp = np.empty_like(v)
         for m in range(1, length):
-            v += taps[m] * history[length - 1 - m : length - 1 - m + count]
+            lag = length - 1 - m
+            np.multiply(taps[m], history[lag + first : lag + count : step], out=tmp)
+            v += tmp
         state._delay = history[count:].copy()
     if filt.pole is not None:
         v, state._carry = lfilter(
@@ -293,6 +311,7 @@ def _filter_block(
             v,
             zi=state._carry,
         )
+        v = v[keep[0] :: keep[1]]
     return v
 
 
@@ -307,6 +326,8 @@ def filter_stream(
     filter has a pole.  Initial conditions are whatever ``state`` holds (all
     zeros after reset).  Output start index equals input start index.
     """
+    if not isinstance(x, (RealSeq, ComplexSeq)):
+        raise UsageError(f"filter_stream needs a RealSeq or ComplexSeq, not {type(x).__name__}")
     if state.filter is not filt:
         raise UsageError("filter state belongs to a different filter")
     return ComplexSeq(_filter_block(filt, state, x.values), x.start)

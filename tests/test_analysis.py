@@ -84,6 +84,14 @@ def test_freq_response_lp_magnitude_formula():
         )
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_freq_response_rejects_non_finite_frequency(theta):
+    with pytest.raises(dk.UsageError):
+        dk.freq_response([dk.make_ma(3)], np.array([theta]))
+    with pytest.raises(dk.UsageError):
+        dk.freq_response(dk.make_ma(3), np.array([0.0, theta]))
+
+
 # -------------------------------------------------------------- h2_norm_sq
 
 def test_norm_of_moving_averages_match_published_rejections():
@@ -177,6 +185,12 @@ def test_multirate_with_inner_pole_is_closed_form():
 def test_multirate_validates_factor():
     with pytest.raises(dk.UsageError):
         dk.multirate_norm_sq(dk.make_ma(4), dk.make_ma(1), 0)
+
+
+@pytest.mark.parametrize("lowrate", [None, "x", [dk.make_ma(1)]], ids=["none", "str", "list"])
+def test_multirate_validates_lowrate_filter(lowrate):
+    with pytest.raises(dk.UsageError):
+        dk.multirate_norm_sq([dk.make_ma(3)], lowrate, 2)
 
 
 # ------------------------------------------------------ 50-digit oracles

@@ -231,6 +231,45 @@ def test_filter_time_invariance_exact(taps, data, delay):
     assert np.array_equal(y_shifted[:delay], np.zeros(delay, dtype=complex))
 
 
+@given(
+    taps=_taps,
+    data=_signal,
+    split=st.integers(min_value=0, max_value=40),
+    first=st.integers(min_value=0, max_value=45),
+    step=st.integers(min_value=1, max_value=15),
+    pole=st.none() | st.complex_numbers(max_magnitude=0.99),
+)
+@settings(max_examples=80, deadline=None)
+def test_kept_outputs_are_the_full_outputs_sliced_bitwise(taps, data, split, first, step, pole):
+    # The first block leaves a non-zero delay line (and carry) behind, so the
+    # second block's kept outputs also read the previous block's samples.
+    f = dk.ComplexFilter(np.array(taps), pole=pole)
+    x = np.array(data)
+    split = min(split, len(x))
+    full_state, kept_state = dk.FilterState(f), dk.FilterState(f)
+    for state in (full_state, kept_state):
+        dk.core._filter_block(f, state, x[:split])
+    full = dk.core._filter_block(f, full_state, x[split:])
+    kept = dk.core._filter_block(f, kept_state, x[split:], (first, step))
+    assert kept.tobytes() == full[first::step].tobytes()
+    assert kept_state._delay.tobytes() == full_state._delay.tobytes()
+    if pole is not None:
+        assert kept_state._carry.tobytes() == full_state._carry.tobytes()
+
+
+@pytest.mark.parametrize("pole", [0.99999, 0.99999j, 0.99999 * np.exp(-0.7j)])
+def test_chunked_pole_matches_one_shot_bitwise(pole):
+    # lfilter carries its state through zi, so splitting a long stream at
+    # arbitrary points gives exactly the one-shot recursion.
+    f = dk.ComplexFilter(np.array([0.3 - 0.1j, -0.2j, 0.5]), pole=pole)
+    x = np.random.default_rng(5).standard_normal(50_000)
+    whole = dk.core._filter_block(f, dk.FilterState(f), x)
+    state = dk.FilterState(f)
+    cuts = [0, 1, 16384, 16385, 32769, 50_000]
+    parts = [dk.core._filter_block(f, state, x[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------- decimate
 
 def test_decimate_examples():

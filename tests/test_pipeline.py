@@ -205,6 +205,32 @@ def _through(filt, x):
     return dk.filter_stream(filt, dk.FilterState(filt), x)
 
 
+def _explicit_stages(chain, y):
+    """The chain's output spelled out from the public primitives, each stage
+    over the whole input in turn."""
+    x = y if chain.pre_mixer is None else _through(chain.pre_mixer, y)
+    z = _through(chain.ddc, dk.mix_down(x, chain.carrier))
+    after = chain.order is dk.ChainOrder.DECIMATE_THEN_FILTER
+    if chain.lowpass is not None and not after:
+        z = _through(chain.lowpass, z)
+    z = dk.decimate(z, chain.decimation, chain.decimation_phase)
+    if after:
+        z = _through(chain.lowpass, z)
+    return z
+
+
+def _count_validations(monkeypatch):
+    validations = []
+    validate = dk.core._validated_samples
+
+    def counting_validate(*args, **kwargs):
+        validations.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr("ddckit.core._validated_samples", counting_validate)
+    return validations
+
+
 @pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chain_shapes()))
 def test_chain_shape_matches_its_explicit_stages(
     pre_mixer, lowpass, decimation, phase, monkeypatch
@@ -225,23 +251,9 @@ def test_chain_shape_matches_its_explicit_stages(
         order=dk.ChainOrder.DECIMATE_THEN_FILTER if after else dk.ChainOrder.FILTER_THEN_DECIMATE,
     )
     y = dk.RealSeq(np.random.default_rng(11).standard_normal(3000), start=5)
-
-    x = y if pre_mixer is None else _through(chain.pre_mixer, y)
-    z = _through(chain.ddc, dk.mix_down(x, carrier))
-    if lowpass == "before":
-        z = _through(chain.lowpass, z)
-    z = dk.decimate(z, decimation, phase)
-    if after:
-        z = _through(chain.lowpass, z)
+    z = _explicit_stages(chain, y)
     # The input was validated when it was built; run validates only its output.
-    validations = []
-    validate = dk.core._validated_samples
-
-    def counting_validate(*args, **kwargs):
-        validations.append(1)
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr("ddckit.core._validated_samples", counting_validate)
+    validations = _count_validations(monkeypatch)
     # The output's timing is read from the chain on demand, not on every block.
     timing_calls = {"group_delay_seconds": 0, "phase_metrics": 0}
     for module, name in ((dk.pipeline, "group_delay_seconds"), (dk.analysis, "phase_metrics")):
@@ -284,6 +296,62 @@ def test_chain_shape_matches_its_explicit_stages(
     assert dk.analytic_noise_gain(chain) == gain
     assert len(chain.baseband_stages()) == len(before)
     assert len(before) == 1 + (pre_mixer is not None) + (lowpass == "before")
+
+
+def _chunked_shapes():
+    for pre_mixer, lowpass, decimation, phase in _chain_shapes():
+        yield pre_mixer, lowpass, decimation, phase
+    for pre_mixer in (None, 15 / 16):
+        for lowpass in (None, "before", "after"):
+            for phase in (0, 5, 13):
+                yield pre_mixer, lowpass, 14, phase
+
+
+@pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chunked_shapes()))
+def test_chunked_run_matches_whole_stages(pre_mixer, lowpass, decimation, phase, monkeypatch):
+    # run goes through its input in chunks, carrying each stage's state and
+    # computing a pole-free FIR before the decimator only at the kept
+    # samples; spelled out stage by stage over the whole input, every number
+    # must be the same.  The input spans three chunks plus a remainder that
+    # is a multiple of neither the decimation factor nor the carrier block.
+    carrier = dk.CarrierConfig(7, 33, 3.0)
+    h = carrier.sample_period
+    after = lowpass == "after"
+    chain = dk.make_chain(
+        carrier,
+        dk.make_ma(14) if decimation == 14 else dk.make_2sr(carrier),
+        lp_bandwidth=None if lowpass is None else 0.01 * 2 * math.pi / h,
+        pre_mixer=None if pre_mixer is None else dk.make_dc_reject_passband(pre_mixer),
+        decimation=decimation,
+        decimation_phase=phase,
+        order=dk.ChainOrder.DECIMATE_THEN_FILTER if after else dk.ChainOrder.FILTER_THEN_DECIMATE,
+    )
+    remainder = 1001
+    assert (decimation == 1 or remainder % decimation) and remainder % carrier.samples
+    count = 3 * dk.pipeline._CHUNK + remainder
+    y = dk.RealSeq(np.random.default_rng(13).standard_normal(count), start=40_000_007)
+    z = _explicit_stages(chain, y)
+    validations = _count_validations(monkeypatch)
+    out = dk.run(chain, y)
+    assert len(validations) == 1
+    assert out.seq.values.tobytes() == z.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain: dk.run(chain, dk.ComplexSeq(1j * np.ones(100))),
+        lambda chain: dk.run(chain, np.ones(100)),
+        lambda chain: dk.filter_stream(chain.ddc, dk.FilterState(chain.ddc), np.ones(100)),
+        lambda chain: dk.mix_down(np.ones(100), chain.carrier),
+        lambda chain: dk.mix_down([1.0, 2.0], chain.carrier),
+    ],
+    ids=["run-complex", "run-array", "filter-array", "mix-array", "mix-list"],
+)
+def test_stages_reject_what_is_not_a_sequence(call):
+    chain = dk.DdcChain(dk.CarrierConfig(7, 33), dk.make_ma(3))
+    with pytest.raises(dk.UsageError):
+        call(chain)
 
 
 # ------------------------------------------------------------------ timing
