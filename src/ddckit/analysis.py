@@ -13,6 +13,7 @@ poles.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -23,7 +24,11 @@ from .core import (
     ComplexFilter,
     DomainError,
     UsageError,
+    _check_type,
     _is_int,
+    _is_number,
+    _is_positive,
+    _validated_samples,
 )
 
 FilterOrCascade = Union[ComplexFilter, Sequence[ComplexFilter]]
@@ -37,21 +42,22 @@ class FreqGrid:
     sample_rate: float | None = None
 
     def __post_init__(self) -> None:
-        thetas = np.asarray(self.thetas, dtype=np.float64)
-        if thetas.ndim != 1 or len(thetas) == 0:
-            raise UsageError("frequency grid must be a non-empty 1-d array")
+        thetas = _validated_samples(self.thetas, np.float64, "frequency grid")
+        if len(thetas) == 0:
+            raise UsageError("frequency grid must not be empty")
+        if self.sample_rate is not None and not _is_positive(self.sample_rate):
+            raise UsageError("grid sample_rate must be None or a positive finite real")
         if np.any(np.diff(thetas) <= 0):
             raise UsageError("frequency grid must be strictly increasing")
         if thetas[0] <= -math.pi or thetas[-1] > math.pi:
             raise UsageError("frequency grid must lie within (-pi, pi]")
-        thetas.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
 
     @classmethod
     def regular(cls, points: int, sample_rate: float | None = None) -> "FreqGrid":
         """Uniform grid of ``points`` frequencies covering (-pi, pi]."""
-        if points < 1:
-            raise UsageError("grid needs at least one point")
+        if not _is_int(points) or points < 1:
+            raise UsageError("grid needs a positive integer number of points")
         step = 2.0 * math.pi / points
         thetas = -math.pi + step * np.arange(1, points + 1)
         return cls(thetas, sample_rate)
@@ -83,8 +89,18 @@ class NormReport:
     stderr: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.value >= 0.0):
-            raise DomainError("squared norm must be non-negative")
+        if not (_is_number(self.value, numbers.Real) and self.value >= 0.0):
+            raise DomainError(
+                f"{self.method} squared norm must be finite and non-negative, "
+                f"not {self.value!r}"
+            )
+        if self.stderr is not None and not (
+            _is_number(self.stderr, numbers.Real) and self.stderr >= 0.0
+        ):
+            raise DomainError(
+                f"{self.method} standard error must be finite and non-negative, "
+                f"not {self.stderr!r}"
+            )
 
     @property
     def value_db(self) -> float:
@@ -100,24 +116,25 @@ def _as_stages(obj: FilterOrCascade) -> list[ComplexFilter]:
     return stages
 
 
-def _thetas(grid) -> np.ndarray:
-    if isinstance(grid, FreqGrid):
-        return grid.thetas
-    return np.asarray(grid, dtype=np.float64)
-
-
 def freq_response(obj: FilterOrCascade, grid) -> np.ndarray:
-    """Evaluate the (cascade) frequency response on a grid.
+    """Evaluate the (cascade) frequency response on a grid: a
+    :class:`FreqGrid` or a 1-D array of finite frequencies in rad/sample.
 
     Complex-coefficient filters are not conjugate-symmetric across zero
     frequency, so positive and negative frequencies carry distinct
     information; grids here always span both sides.
     """
-    thetas = _thetas(grid)
-    if not np.isfinite(thetas).all():
-        raise UsageError("frequencies must be finite")
+    if isinstance(grid, FreqGrid):
+        thetas = grid.thetas
+    else:
+        thetas = _validated_samples(grid, np.float64, "frequencies")
+    return _response(_as_stages(obj), thetas)
+
+
+def _response(stages: list[ComplexFilter], thetas: np.ndarray) -> np.ndarray:
+    """The array kernel of :func:`freq_response`."""
     resp = np.ones_like(thetas, dtype=np.complex128)
-    for stage in _as_stages(obj):
+    for stage in stages:
         resp = resp * stage.response(thetas)
     return resp
 
@@ -210,8 +227,7 @@ def multirate_norm_sq(
     """
     if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
-    if not isinstance(outer_lowrate, ComplexFilter):
-        raise UsageError("the low-rate filter must be a ComplexFilter")
+    _check_type(outer_lowrate, ComplexFilter, "the low-rate filter")
     taps, inner_poles = _materialize(_as_stages(inner))
     poles: list[complex] = []
     gaps: list[complex] = []
@@ -242,8 +258,10 @@ def tune_lp_bandwidth(
     """
     from .filters import make_lp
 
-    if not (sample_period > 0 and math.isfinite(sample_period)):
-        raise UsageError("sample period must be positive")
+    if not _is_number(target_db, numbers.Real):
+        raise UsageError("target must be a finite real number of dB")
+    if not _is_positive(sample_period):
+        raise UsageError("sample period must be a positive finite real number")
     stages = _as_stages(ddc_filter)
     target = 10.0 ** (target_db / 10.0)
 
@@ -288,16 +306,16 @@ def phase_metrics(
     ``Re(p w / (1 - p w))`` for its pole.  The evaluation frequency must not
     sit on a response zero.
     """
-    if not math.isfinite(omega):
-        raise UsageError("frequency must be finite")
-    if not (sample_period > 0 and math.isfinite(sample_period)):
-        raise UsageError("sample period must be positive")
+    if not _is_number(omega, numbers.Real):
+        raise UsageError("frequency must be a finite real number")
+    if not _is_positive(sample_period):
+        raise UsageError("sample period must be a positive finite real number")
     stages = _as_stages(obj)
     theta = omega * sample_period
     steps = max(8, int(math.ceil(abs(theta) / 0.01)))
     # The path from zero frequency ends exactly at theta.
     path = np.linspace(0.0, theta, steps + 1)
-    resp = freq_response(stages, path)
+    resp = _response(stages, path)
     if abs(resp[-1]) <= 1e-9:
         raise DomainError("phase is undefined at a response zero")
     phase = float(np.unwrap(np.angle(resp))[-1])

@@ -7,27 +7,30 @@ over the taps in ascending order, and :func:`scipy.signal.lfilter` runs only
 the pole.  Explicit state objects make block processing exactly equivalent
 to one-shot processing.
 
-Samples are validated where they enter: building a :class:`RealSeq` or
-:class:`ComplexSeq` checks them once.  Code inside the package that computes
-a new array from validated samples runs private array kernels and wraps only
-the result it returns.  The filter kernel can compute an FIR at the kept
-samples of a decimator alone (polyphase decimation), in the same tap order,
-so the kept outputs are bitwise those of the full computation.
+What the package accepts from outside is decided here, once, by a few
+private validators that every entry point calls: integers and finite numbers
+that are not ``bool``, finite positive reals, instances of the package's
+types, and sample arrays (1-D, numeric and finite, copied unless the
+validator made them itself, and read-only).  Samples are validated where they
+enter, when a :class:`RealSeq` or :class:`ComplexSeq` is built; nothing the
+package builds is validated again.  Code inside the package that computes a
+new array from validated samples, or from noise it draws itself, runs
+private array kernels and wraps only the result it returns.  The filter
+kernel can compute an FIR at the kept samples of a decimator alone
+(polyphase decimation), in the same tap order, so the kept outputs are
+bitwise those of the full computation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.signal import lfilter
-
-
-def _is_int(value) -> bool:
-    """True for a Python integer that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class DdcError(Exception):
@@ -45,6 +48,70 @@ class DomainError(DdcError):
 
 class SingularityError(DomainError):
     """A construction is singular for the given carrier ratio."""
+
+
+def _is_int(value) -> bool:
+    """True for a Python integer that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value, kind: type) -> bool:
+    """True for a finite number of the abstract ``kind`` (``numbers.Real``,
+    ``numbers.Complex``) that is not a ``bool``."""
+    # A float or an int is of both kinds; testing its type first skips the
+    # abstract-class check, several times slower, on the common path.
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, kind)
+    ):
+        return False
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_positive(value) -> bool:
+    """True for a finite positive real number that is not a ``bool``."""
+    return _is_number(value, numbers.Real) and value > 0
+
+
+def _check_type(value, kind, what: str) -> None:
+    """Raise :class:`UsageError` unless ``value`` is an instance of ``kind``,
+    a class or a tuple of classes."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(k.__name__ for k in kinds)
+        raise UsageError(f"{what} must be a {names}, not {type(value).__name__}")
+
+
+def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
+    """``values`` as a read-only 1-D array of ``dtype`` (``np.float64`` or
+    ``np.complex128``) that nothing else refers to.
+
+    The element type is read from the dtype alone: only integers, floats and,
+    for ``np.complex128``, complex numbers pass, so ``bool``, strings and
+    objects are refused without a pass over the samples.  The array is copied
+    unless the conversion to ``dtype`` already made a new one, so later writes
+    to the caller's array do not reach the result, and the caller's array
+    stays writeable.
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        raise UsageError(f"{what} must be a 1-D array of numbers") from None
+    kinds = "iufc" if dtype is np.complex128 else "iuf"
+    if arr.dtype.kind not in kinds:
+        real = "" if dtype is np.complex128 else "real "
+        raise UsageError(f"{what} must hold {real}numbers, not {arr.dtype}")
+    if arr.ndim != 1:
+        raise UsageError(f"{what} must be one-dimensional")
+    arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise UsageError(f"{what} must contain only finite values")
+    if arr is values or arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -81,8 +148,8 @@ class CarrierConfig:
                 f"carrier ratio {self.periods}/{self.samples} is at or above "
                 "Nyquist (need periods/samples < 1/2)"
             )
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise UsageError("sample_rate must be positive and finite")
+        if not _is_positive(self.sample_rate):
+            raise UsageError("sample_rate must be a positive finite real number")
 
     @property
     def phase_step(self) -> float:
@@ -117,18 +184,6 @@ class CarrierConfig:
         return table
 
 
-def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.ndim != 1:
-        raise UsageError(f"{what} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise UsageError(f"{what} must contain only finite values")
-    if arr is values or arr.base is not None:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_start(start, what: str) -> None:
     if not _is_int(start):
         raise UsageError(f"{what} start must be an integer, not {start!r}")
@@ -148,8 +203,6 @@ class RealSeq:
 
     def __post_init__(self) -> None:
         _check_start(self.start, "RealSeq")
-        if np.iscomplexobj(self.values):
-            raise UsageError("RealSeq requires real-valued samples")
         object.__setattr__(
             self, "values", _validated_samples(self.values, np.float64, "RealSeq")
         )
@@ -206,19 +259,18 @@ class ComplexFilter:
     domain: Domain = Domain.BASEBAND
 
     def __post_init__(self) -> None:
-        taps = np.atleast_1d(np.asarray(self.taps, dtype=np.complex128))
-        if taps.ndim != 1 or len(taps) < 1:
+        taps = self.taps
+        if isinstance(taps, numbers.Number):
+            taps = [taps]
+        taps = _validated_samples(taps, np.complex128, "filter taps")
+        if len(taps) < 1:
             raise UsageError("filter needs at least one tap")
-        if not np.all(np.isfinite(taps)):
-            raise UsageError("filter taps must be finite")
-        if taps is self.taps or taps.base is not None:
-            taps = taps.copy()
-        taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
+        _check_type(self.domain, Domain, "filter domain")
         if self.pole is not None:
+            if not _is_number(self.pole, numbers.Complex):
+                raise UsageError(f"pole must be a finite number, not {self.pole!r}")
             pole = complex(self.pole)
-            if not (math.isfinite(pole.real) and math.isfinite(pole.imag)):
-                raise UsageError("pole must be finite")
             if abs(pole) >= 1.0:
                 raise UsageError(f"pole magnitude {abs(pole):.6g} >= 1 (unstable)")
             object.__setattr__(self, "pole", pole)
@@ -326,8 +378,7 @@ def filter_stream(
     filter has a pole.  Initial conditions are whatever ``state`` holds (all
     zeros after reset).  Output start index equals input start index.
     """
-    if not isinstance(x, (RealSeq, ComplexSeq)):
-        raise UsageError(f"filter_stream needs a RealSeq or ComplexSeq, not {type(x).__name__}")
+    _check_type(x, (RealSeq, ComplexSeq), "filter_stream input")
     if state.filter is not filt:
         raise UsageError("filter state belongs to a different filter")
     return ComplexSeq(_filter_block(filt, state, x.values), x.start)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -21,7 +22,10 @@ from .core import (
     Domain,
     SingularityError,
     UsageError,
+    _check_type,
     _is_int,
+    _is_number,
+    _is_positive,
 )
 
 # Below this, two-sample reconstruction is numerically singular.
@@ -43,6 +47,7 @@ def amplifies_noise(carrier: CarrierConfig) -> bool:
 
 
 def _check_reconstruction_ratio(carrier: CarrierConfig, what: str) -> float:
+    _check_type(carrier, CarrierConfig, "the carrier")
     s = math.sin(carrier.phase_step)
     if abs(s) < _SIN_STEP_FLOOR:
         raise SingularityError(
@@ -81,8 +86,8 @@ def make_2sr(carrier: CarrierConfig, keep_phase_factor: bool = True) -> ComplexF
     at the double-frequency image ``-2*step``.  With ``keep_phase_factor``
     False the constant phase rotation is dropped (relative phase only).
     """
-    step = carrier.phase_step
     s = _check_reconstruction_ratio(carrier, "two-sample reconstruction")
+    step = carrier.phase_step
     if keep_phase_factor:
         b0 = cmath.exp(1j * step) / (2j * s)
     else:
@@ -98,8 +103,8 @@ def make_dcr(carrier: CarrierConfig) -> ComplexFilter:
     zeros at both the spur frequency ``-step`` and its mirror, unity DC gain.
     Only sensible near ratio 1/4, like two-sample reconstruction.
     """
-    step = carrier.phase_step
     _check_reconstruction_ratio(carrier, "DC-spur rejection")
+    step = carrier.phase_step
     c = 1.0 / (1.0 - cmath.exp(-2j * step))
     taps = np.array([c, 0.0, -cmath.exp(-2j * step) * c])
     return ComplexFilter(taps, domain=Domain.BASEBAND)
@@ -112,6 +117,7 @@ def make_iq(carrier: CarrierConfig) -> ComplexFilter:
     removes the double-frequency component.  Normalized for unity DC gain,
     which makes it tap-for-tap the quarter-rate case of :func:`make_2sr`.
     """
+    _check_type(carrier, CarrierConfig, "the carrier")
     if carrier.samples != 4 * carrier.periods:
         raise UsageError(
             "IQ sampling requires carrier ratio 1/4, got "
@@ -125,10 +131,10 @@ def make_lp(bandwidth: float, sample_period: float) -> ComplexFilter:
 
     ``bandwidth`` is in rad/s.  Unity DC gain; impulse energy (1-a)/(1+a).
     """
-    if not (bandwidth > 0 and math.isfinite(bandwidth)):
-        raise UsageError("low-pass bandwidth must be positive")
-    if not (sample_period > 0 and math.isfinite(sample_period)):
-        raise UsageError("sample period must be positive")
+    if not _is_positive(bandwidth):
+        raise UsageError("low-pass bandwidth must be a positive finite real number")
+    if not _is_positive(sample_period):
+        raise UsageError("sample period must be a positive finite real number")
     a = math.exp(-bandwidth * sample_period)
     return ComplexFilter(np.array([1.0 - a]), pole=a, domain=Domain.BASEBAND)
 
@@ -141,7 +147,7 @@ def make_dc_reject_passband(pole: float) -> ComplexFilter:
     is real, slightly below one (15/16 is a typical hardware value).  In the
     baseband this becomes a first-order IIR notch at the spur frequency.
     """
-    if not (isinstance(pole, (int, float)) and 0.0 < pole < 1.0):
+    if not (_is_number(pole, numbers.Real) and 0.0 < pole < 1.0):
         raise UsageError("DC-reject pole must be a real number in (0, 1)")
     return ComplexFilter(
         np.array([1.0, -1.0]), pole=float(pole), domain=Domain.PASSBAND
@@ -155,6 +161,8 @@ def to_baseband(filt: ComplexFilter, carrier: CarrierConfig) -> ComplexFilter:
     and the pole by ``exp(-1j*step)``; the baseband response at theta equals
     the passband response at theta + step.
     """
+    _check_type(filt, ComplexFilter, "the filter")
+    _check_type(carrier, CarrierConfig, "the carrier")
     if filt.domain is not Domain.PASSBAND:
         raise UsageError("filter is already a baseband filter")
     step = carrier.phase_step
@@ -165,6 +173,8 @@ def to_baseband(filt: ComplexFilter, carrier: CarrierConfig) -> ComplexFilter:
 
 def convolve(first: ComplexFilter, second: ComplexFilter) -> ComplexFilter:
     """Materialize an FIR*FIR cascade as a single FIR filter."""
+    _check_type(first, ComplexFilter, "the first filter")
+    _check_type(second, ComplexFilter, "the second filter")
     if first.pole is not None or second.pole is not None:
         raise UsageError("can only materialize FIR*FIR cascades")
     if first.domain is not second.domain:

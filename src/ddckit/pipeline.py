@@ -20,6 +20,7 @@ from .core import (
     FilterState,
     RealSeq,
     UsageError,
+    _check_type,
     _filter_block,
     _is_int,
 )
@@ -75,6 +76,11 @@ class DdcChain:
     order: ChainOrder = ChainOrder.FILTER_THEN_DECIMATE
 
     def __post_init__(self) -> None:
+        _check_type(self.carrier, CarrierConfig, "the chain's carrier")
+        _check_type(self.ddc, ComplexFilter, "the DDC filter")
+        _check_type(self.lowpass, (ComplexFilter, type(None)), "the low-pass stage")
+        _check_type(self.pre_mixer, (ComplexFilter, type(None)), "the pre-mixer stage")
+        _check_type(self.order, ChainOrder, "the chain order")
         if self.ddc.domain is not Domain.BASEBAND:
             raise UsageError("the DDC filter must be a baseband filter")
         if self.lowpass is not None and self.lowpass.domain is not Domain.BASEBAND:
@@ -164,8 +170,7 @@ def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
     indices and places the conjugate image of a constant envelope exactly on
     the double-frequency line.
     """
-    if not isinstance(y, (RealSeq, ComplexSeq)):
-        raise UsageError(f"mix_down needs a RealSeq or ComplexSeq, not {type(y).__name__}")
+    _check_type(y, (RealSeq, ComplexSeq), "mix_down input")
     return ComplexSeq(_mix(y.values, y.start, carrier), start=y.start)
 
 
@@ -245,6 +250,19 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     carry absolute indices belong to streamable chains (ROADMAP item 4).
     The output's timing is not computed here: :class:`DdcOutput` reads it
     from the chain on demand, so a block costs only its stages' arithmetic.
+    """
+    _check_type(y, RealSeq, "run's ADC input")
+    if len(y) < max(1, transient_length(chain)):
+        raise UsageError(
+            f"input of {len(y)} samples is shorter than the chain transient "
+            f"({transient_length(chain)} samples)"
+        )
+    return DdcOutput(ComplexSeq(_run(chain, y.values, y.start)), chain)
+
+
+def _run(chain: DdcChain, values: np.ndarray, start: int) -> np.ndarray:
+    """The array kernel of :func:`run`: the chain's output for the real ADC
+    samples ``values``, whose first sample sits at absolute index ``start``.
 
     The input goes through every stage in cache-sized chunks, each stage
     carrying its filter state from one chunk to the next, and the last stage
@@ -253,13 +271,6 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     whatever the split, so the output is bitwise that of running each whole
     stage in turn.
     """
-    if not isinstance(y, RealSeq):
-        raise UsageError(f"run needs a RealSeq of ADC samples, not {type(y).__name__}")
-    if len(y) < max(1, transient_length(chain)):
-        raise UsageError(
-            f"input of {len(y)} samples is shorter than the chain transient "
-            f"({transient_length(chain)} samples)"
-        )
     passband, before, after = [], [], []
     for stage in chain._stages:
         if stage.filter.domain is Domain.PASSBAND:
@@ -273,20 +284,18 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     *before, (last, last_state) = before
     factor, phase = chain.decimation, chain.decimation_phase
     parts = []
-    for begin in range(0, len(y), _CHUNK):
+    for begin in range(0, len(values), _CHUNK):
         # Each stage rebinds ``v``, so no stage's input outlives its use.
-        v = y.values[begin : begin + _CHUNK]
+        v = values[begin : begin + _CHUNK]
         for filt, state in passband:
             v = _filter_block(filt, state, v)
-        v = _mix(v, y.start + begin, chain.carrier)
+        v = _mix(v, start + begin, chain.carrier)
         for filt, state in before:
             v = _filter_block(filt, state, v)
         v = _filter_block(last, last_state, v, ((phase - begin) % factor, factor))
         for filt, state in after:
             v = _filter_block(filt, state, v)
         parts.append(v)
-    # A single chunk is wrapped as it is; dropping the parts before the
-    # output is validated (and copied) keeps at most two copies alive.
-    v = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    del parts
-    return DdcOutput(ComplexSeq(v), chain)
+    # A single chunk is returned as it is; the parts go when this returns, so
+    # at most two copies of the output are alive while run validates it.
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -16,9 +16,10 @@ above), and optionally ``lp_bandwidth_hz``, ``decimation``, ``order``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .core import CarrierConfig, ComplexFilter, UsageError
+from .core import CarrierConfig, ComplexFilter, UsageError, _is_number
 from .filters import (
     make_2sr,
     make_dc_reject_passband,
@@ -95,7 +96,7 @@ def parse_complex(text: str) -> complex:
         value = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise UsageError(f"bad complex number {text!r}") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not _is_number(value, numbers.Complex):
         raise UsageError(f"complex number {text!r} must be finite")
     return value
 

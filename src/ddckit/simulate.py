@@ -12,7 +12,6 @@ per spec, which pins every experiment to a reproducible stream.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -21,9 +20,18 @@ from typing import Sequence, Union, get_args
 import numpy as np
 
 from . import analysis
-from .core import CarrierConfig, ComplexFilter, RealSeq, UsageError, _is_int
+from .core import (
+    CarrierConfig,
+    ComplexFilter,
+    RealSeq,
+    UsageError,
+    _check_type,
+    _is_int,
+    _is_number,
+    _validated_samples,
+)
 from .filters import make_iq
-from .pipeline import DdcChain, run, transient_length
+from .pipeline import DdcChain, _run, run, transient_length
 
 
 @dataclass(frozen=True)
@@ -76,25 +84,23 @@ class PhaseRampEnvelope:
 
 @dataclass(frozen=True)
 class SampledEnvelope:
-    """Explicit envelope trajectory, one value per absolute sample index."""
+    """Explicit envelope trajectory, one value per absolute sample index,
+    kept as a read-only complex copy of the values given."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        if not (
-            values.ndim == 1
-            and np.issubdtype(values.dtype, np.number)
-            and np.all(np.isfinite(values))
-        ):
-            raise UsageError("sampled envelope values must be a finite 1-D numeric array")
+        object.__setattr__(
+            self,
+            "values",
+            _validated_samples(self.values, np.complex128, "sampled envelope values"),
+        )
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        values = np.asarray(self.values, dtype=np.complex128)
         k = np.asarray(k)
-        if np.any(k >= len(values)) or np.any(k < 0):
+        if np.any(k >= len(self.values)) or np.any(k < 0):
             raise UsageError("sampled envelope is shorter than the request")
-        return values[k]
+        return self.values[k]
 
 
 Envelope = Union[ConstantEnvelope, StepEnvelope, PhaseRampEnvelope, SampledEnvelope]
@@ -118,13 +124,18 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.envelope, get_args(Envelope)):
+        _check_type(self.envelope, get_args(Envelope), "envelope")
+        sigma = self.noise_sigma
+        # The noise power 4*sigma**2 scales every noise-gain estimate.
+        if not (
+            _is_number(sigma, numbers.Real)
+            and sigma >= 0.0
+            and _is_number(4.0 * sigma * sigma, numbers.Real)
+        ):
             raise UsageError(
-                "envelope must be a ConstantEnvelope, StepEnvelope, "
-                f"PhaseRampEnvelope or SampledEnvelope, not {self.envelope!r}"
+                "noise_sigma must be a non-negative real number whose noise "
+                "power 4*sigma**2 is finite"
             )
-        if not (_is_number(self.noise_sigma, numbers.Real) and self.noise_sigma >= 0.0):
-            raise UsageError("noise_sigma must be a finite, non-negative real number")
         if not _is_number(self.dc_offset, numbers.Real):
             raise UsageError("dc_offset must be a finite real number")
         orders = []
@@ -141,11 +152,6 @@ class SignalSpec:
         if len(set(orders)) != len(orders):
             raise UsageError("harmonic orders must be distinct")
         _check_seed(self.seed)
-
-
-def _is_number(value, kind: type) -> bool:
-    """True for a finite number of the abstract ``kind`` that is not a ``bool``."""
-    return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
 
 
 def _check_amplitudes(*values) -> None:
@@ -223,11 +229,14 @@ def _first_clean_output(chain: DdcChain) -> int:
     return max(0, math.ceil((settle - chain.decimation_phase) / chain.decimation))
 
 
-def _noise_power(chain: DdcChain, noise: RealSeq, j0: int) -> np.ndarray:
+def _noise_power(chain: DdcChain, noise: np.ndarray, j0: int) -> np.ndarray:
     """Output power of the chain run on ADC noise alone, from output sample
-    ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain."""
-    out = run(chain, noise)
-    return np.abs(out.seq.values[j0:]) ** 2
+    ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain.
+
+    The noise comes from :func:`_adc_noise`, not from outside, so it goes
+    through the chain's array kernel without being validated again.  The
+    caller has checked that the run has post-transient output."""
+    return np.abs(_run(chain, noise, 0)[j0:]) ** 2
 
 
 def analytic_noise_gain(chain: DdcChain) -> float:
@@ -300,8 +309,9 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     y = _clean_samples(spec, chain.carrier, count)
     noise = None
     if spec.noise_sigma > 0.0:
-        noise = RealSeq(_adc_noise(spec.noise_sigma, spec.seed, count))
-        y += noise.values
+        noise = _adc_noise(spec.noise_sigma, spec.seed, count)
+        y += noise
+    # The stream carries the spec's amplitudes, so it enters through run.
     out = run(chain, RealSeq(y))
     del y
     k_out = chain.decimation_phase + np.arange(len(out.seq)) * chain.decimation
@@ -311,6 +321,20 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     if len(residual) == 0:
         raise UsageError("no post-transient output samples to evaluate")
 
+    gain = stderr = None
+    if noise is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = _noise_power(chain, noise, j0)
+            scale = 4.0 * spec.noise_sigma**2
+            gain = float(np.mean(power)) / scale
+            blocks = min(16, len(power))
+            per_block = [float(np.mean(p)) for p in np.array_split(power, blocks)]
+            stderr = float(np.std(per_block, ddof=1) / math.sqrt(blocks)) / scale
+        # A noise power beyond the float range leaves a non-finite estimate,
+        # which the report refuses with DomainError.  It is checked before
+        # the envelope error, which the same overflow would spoil.
+        analysis.NormReport(gain, "monte-carlo", stderr)
+
     rms_error = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
 
     spur_amp = _demodulate_spurs(residual, _spur_candidates(spec, chain), chain)
@@ -319,15 +343,6 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
         spur_db = math.nan
     else:
         spur_db = 20.0 * math.log10(max(spur_amp, 1e-300) / (ref if ref > 0 else 1.0))
-
-    gain = stderr = None
-    if noise is not None:
-        power = _noise_power(chain, noise, j0)
-        scale = 4.0 * spec.noise_sigma**2
-        gain = float(np.mean(power)) / scale
-        blocks = min(16, len(power))
-        per_block = [float(np.mean(p)) for p in np.array_split(power, blocks)]
-        stderr = float(np.std(per_block, ddof=1) / math.sqrt(blocks)) / scale
 
     return ExperimentReport(
         rms_envelope_error=rms_error,
@@ -363,16 +378,17 @@ def noise_gain_study(
     if j0 >= len(range(chain.decimation_phase, count, chain.decimation)):
         raise UsageError("no post-transient output samples to evaluate")
     scale = 4.0 * spec.noise_sigma**2
+    # A noise power beyond the float range leaves a non-finite estimate, which
+    # the report refuses with DomainError.
     gains = []
-    for seed in seeds:
-        noise = RealSeq(_adc_noise(spec.noise_sigma, seed, count))
-        gains.append(float(np.mean(_noise_power(chain, noise, j0))) / scale)
-    gains_arr = np.asarray(gains)
-    return analysis.NormReport(
-        value=float(np.mean(gains_arr)),
-        method="monte-carlo",
-        stderr=float(np.std(gains_arr, ddof=1) / math.sqrt(len(gains_arr))),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in seeds:
+            noise = _adc_noise(spec.noise_sigma, seed, count)
+            gains.append(float(np.mean(_noise_power(chain, noise, j0))) / scale)
+        gains_arr = np.asarray(gains)
+        value = float(np.mean(gains_arr))
+        stderr = float(np.std(gains_arr, ddof=1) / math.sqrt(len(gains_arr)))
+    return analysis.NormReport(value=value, method="monte-carlo", stderr=stderr)
 
 
 def harmonic_bias(

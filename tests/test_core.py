@@ -310,3 +310,100 @@ def test_decimate_preserves_sequence_type():
 def test_bool_is_not_an_integer(call):
     with pytest.raises(dk.UsageError):
         call()
+
+
+# ---------------------------------------------------------- outside values
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.CarrierConfig(7, 33, True),
+        lambda: dk.make_lp(True, 1.0),
+        lambda: dk.phase_metrics(dk.make_ma(3), 0.0, True),
+        lambda: dk.FreqGrid.regular(True),
+        lambda: dk.ComplexFilter(True),
+    ],
+    ids=["carrier-rate", "lp-bandwidth", "phase-period", "grid-points", "filter-tap"],
+)
+def test_bool_is_not_a_number(call):
+    with pytest.raises(dk.UsageError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.CarrierConfig(7, 33, "1"),
+        lambda: dk.make_lp("x", 1.0),
+        lambda: dk.make_lp(1.0, None),
+        lambda: dk.phase_metrics(dk.make_ma(3), "x", 1.0),
+        lambda: dk.tune_lp_bandwidth(dk.make_ma(3), -5.0, "1"),
+        lambda: dk.tune_lp_bandwidth(dk.make_ma(3), "x", 1.0),
+    ],
+    ids=["carrier-rate", "lp-bandwidth", "lp-period", "phase-omega", "tune-period",
+         "tune-target"],
+)
+def test_a_number_of_the_wrong_type_is_a_usage_error(call):
+    with pytest.raises(dk.UsageError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.RealSeq(["a"]),
+        lambda: dk.FreqGrid(["a"]),
+        lambda: dk.ComplexFilter(["a"]),
+        lambda: dk.ComplexFilter([1.0], pole="x"),
+        lambda: dk.ComplexFilter([[1.0, 2.0], [3.0]]),
+    ],
+    ids=["realseq", "grid", "filter-taps", "filter-pole", "filter-ragged"],
+)
+def test_text_or_ragged_lists_are_not_numbers(call):
+    with pytest.raises(dk.UsageError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.FreqGrid([math.nan]),
+        lambda: dk.FreqGrid([0.1], sample_rate=-1),
+        lambda: dk.ComplexFilter([1.0], domain="x"),
+        lambda: dk.CarrierConfig(7, 33, 10**400),
+    ],
+    ids=["grid-nan", "grid-rate", "filter-domain", "carrier-int-beyond-float"],
+)
+def test_values_out_of_their_domain_are_refused(call):
+    with pytest.raises(dk.UsageError):
+        call()
+
+
+@pytest.mark.parametrize("pole", [np.float32(0.9), np.float64(0.9)], ids=["f32", "f64"])
+def test_dc_reject_pole_takes_any_real_float(pole):
+    assert dk.make_dc_reject_passband(pole).pole == float(pole)
+
+
+_holders = [
+    (dk.RealSeq, lambda s: s.values),
+    (dk.ComplexSeq, lambda s: s.values),
+    (dk.FreqGrid, lambda g: g.thetas),
+    (dk.SampledEnvelope, lambda e: e.values),
+    (dk.ComplexFilter, lambda f: f.taps),
+]
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+@pytest.mark.parametrize(
+    "build, stored", _holders, ids=[cls.__name__ for cls, _ in _holders]
+)
+def test_objects_keep_their_own_copy_of_an_array(build, stored, view):
+    base = np.linspace(-3.0, 3.0, 12)
+    given = base[2:] if view else base
+    obj = build(given)
+    kept = stored(obj).copy()
+    assert base.flags.writeable
+    base[5] = 100.0
+    base[3] = math.nan
+    assert stored(obj).tobytes() == kept.tobytes()
+    assert not stored(obj).flags.writeable

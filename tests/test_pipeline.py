@@ -428,3 +428,23 @@ def test_baseband_stages_include_transformed_premixer():
     assert len(stages) == 2
     assert stages[0].domain is dk.Domain.BASEBAND
     assert stages[0].pole == pytest.approx(0.9 * np.exp(-1j * carrier.phase_step))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: dk.DdcChain("x", dk.make_ma(3)),
+        lambda c: dk.DdcChain(c, "x"),
+        lambda c: dk.to_baseband("x", c),
+        lambda c: dk.to_baseband(dk.make_dc_reject_passband(0.9), "x"),
+        lambda c: dk.make_2sr("x"),
+        lambda c: dk.convolve(dk.make_ma(3), "x"),
+        lambda c: dk.make_chain(c, dk.make_ma(3), lp_bandwidth=0.1, order="x"),
+        lambda c: dk.make_chain(c, dk.make_ma(3), lp_bandwidth=True),
+    ],
+    ids=["chain-carrier", "chain-ddc", "to-baseband", "to-baseband-carrier",
+         "2sr-carrier", "convolve", "chain-order", "chain-lp-bool"],
+)
+def test_chain_fields_of_the_wrong_type_are_usage_errors(call):
+    with pytest.raises(dk.UsageError):
+        call(dk.CarrierConfig(7, 33))

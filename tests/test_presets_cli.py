@@ -357,3 +357,10 @@ def test_cli_csv_uses_dot_decimal_separator(capsys):
     assert "," in out and ";" not in out
     for token in out.splitlines()[1].split(","):
         float(token)  # parses under the C locale
+
+
+def test_cli_simulate_noise_beyond_float_range_is_a_usage_error(capsys):
+    args = ["simulate", "--preset", "ess", "--noise", "1e200", "--seeds", "2",
+            "--samples", "2000"]
+    assert main(args) == 2
+    assert "noise_sigma" in capsys.readouterr().err

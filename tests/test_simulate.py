@@ -290,13 +290,13 @@ def _study_chain():
 
 def test_noise_gain_study_runs_the_chain_once_per_seed(monkeypatch):
     calls = []
-    real_run = dk.run
+    real_run = dk.pipeline._run
 
     def counting_run(*args, **kwargs):
         calls.append(1)
         return real_run(*args, **kwargs)
 
-    monkeypatch.setattr("ddckit.simulate.run", counting_run)
+    monkeypatch.setattr("ddckit.simulate._run", counting_run)
     spec = dk.SignalSpec(dk.ConstantEnvelope(0.7 - 0.4j), noise_sigma=1.3)
     dk.noise_gain_study(spec, _study_chain(), 5_000, [2, 5, 11])
     assert len(calls) == 3
@@ -359,7 +359,7 @@ def test_noise_gain_study_rejects_runs_with_no_clean_output(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("ran the chain for an empty study")
 
-    monkeypatch.setattr("ddckit.simulate.run", no_run)
+    monkeypatch.setattr("ddckit.simulate._run", no_run)
     with pytest.raises(dk.UsageError, match="post-transient"):
         dk.noise_gain_study(dk.SignalSpec(noise_sigma=1.0), chain, 14, [0, 1])
 
@@ -387,3 +387,32 @@ def test_coprime_block_average_rejects_the_same_harmonic():
 def test_iq_harmonic_bias_rejects_other_carriers():
     with pytest.raises(dk.UsageError):
         dk.iq_harmonic_bias(0.01, 4000, carrier=dk.CarrierConfig(7, 33))
+
+
+# ------------------------------------------------- noise beyond float range
+
+@pytest.mark.parametrize("sigma", [9e153, 1e200, 10**200], ids=["9e153", "1e200", "int"])
+def test_signal_spec_rejects_a_noise_power_beyond_float_range(sigma):
+    with pytest.raises(dk.UsageError, match="noise_sigma"):
+        dk.SignalSpec(noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("entry", ["noise_gain_study", "run_experiment"])
+def test_noise_estimate_beyond_float_range_is_a_domain_error(entry):
+    # 4*sigma**2 is finite, but the output power of some samples is not.
+    spec = dk.SignalSpec(noise_sigma=5e153)
+    chain = _study_chain()
+    with pytest.raises(dk.DomainError, match="monte-carlo"):
+        if entry == "noise_gain_study":
+            dk.noise_gain_study(spec, chain, 5_000, [1, 2])
+        else:
+            dk.run_experiment(spec, chain, 5_000)
+
+
+@pytest.mark.parametrize(
+    "value, stderr",
+    [(math.inf, None), (math.nan, None), (1.0, math.nan), (1.0, math.inf)],
+)
+def test_norm_report_refuses_non_finite_numbers(value, stderr):
+    with pytest.raises(dk.DomainError):
+        dk.NormReport(value, "monte-carlo", stderr)
