@@ -263,7 +263,10 @@ def tune_lp_bandwidth(
     if not _is_positive(sample_period):
         raise UsageError("sample period must be a positive finite real number")
     stages = _as_stages(ddc_filter)
-    target = 10.0 ** (target_db / 10.0)
+    try:
+        target = 10.0 ** (target_db / 10.0)
+    except OverflowError:  # beyond the float range, so beyond any gain
+        target = math.inf
 
     def gain(x: float) -> float:
         return h2_norm_sq(stages + [make_lp(x / sample_period, sample_period)]).value

@@ -15,10 +15,11 @@ validator made them itself, and read-only).  Samples are validated where they
 enter, when a :class:`RealSeq` or :class:`ComplexSeq` is built; nothing the
 package builds is validated again.  Code inside the package that computes a
 new array from validated samples, or from noise it draws itself, runs
-private array kernels and wraps only the result it returns.  The filter
-kernel can compute an FIR at the kept samples of a decimator alone
-(polyphase decimation), in the same tap order, so the kept outputs are
-bitwise those of the full computation.
+private array kernels and wraps only the result it returns; ``run``'s wrap
+takes that array as its own, without a copy, and a non-finite value in it,
+an overflow, is a :class:`DomainError`.  The filter kernel can compute an FIR
+at the kept samples of a decimator alone (polyphase decimation), in the same
+tap order, so the kept outputs are bitwise those of the full computation.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def _check_type(value, kind, what: str) -> None:
         raise UsageError(f"{what} must be a {names}, not {type(value).__name__}")
 
 
-def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
+def _validated_samples(
+    values, dtype: type, what: str, owned: bool = False
+) -> np.ndarray:
     """``values`` as a read-only 1-D array of ``dtype`` (``np.float64`` or
     ``np.complex128``) that nothing else refers to.
 
@@ -93,7 +96,9 @@ def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
     objects are refused without a pass over the samples.  The array is copied
     unless the conversion to ``dtype`` already made a new one, so later writes
     to the caller's array do not reach the result, and the caller's array
-    stays writeable.
+    stays writeable.  ``owned`` marks an array the package has just computed
+    and nothing else refers to: it is not copied, and a non-finite value in
+    it is a result beyond the float range, a :class:`DomainError`.
     """
     try:
         arr = np.asarray(values)
@@ -107,8 +112,10 @@ def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
         raise UsageError(f"{what} must be one-dimensional")
     arr = arr.astype(dtype, copy=False)
     if not np.isfinite(arr).all():
+        if owned:
+            raise DomainError(f"{what} left the float range")
         raise UsageError(f"{what} must contain only finite values")
-    if arr is values or arr.base is not None:
+    if not owned and (arr is values or arr.base is not None):
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -227,6 +234,16 @@ class ComplexSeq:
         object.__setattr__(
             self, "values", _validated_samples(self.values, np.complex128, "ComplexSeq")
         )
+
+    @classmethod
+    def _owning(cls, values: np.ndarray, what: str) -> ComplexSeq:
+        """A sequence from index 0 that takes ``values``, an array the
+        package has just computed, as its own: validated without a copy."""
+        seq = object.__new__(cls)
+        values = _validated_samples(values, np.complex128, what, owned=True)
+        object.__setattr__(seq, "values", values)
+        object.__setattr__(seq, "start", 0)
+        return seq
 
     def __len__(self) -> int:
         return len(self.values)

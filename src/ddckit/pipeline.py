@@ -29,8 +29,9 @@ from .filters import make_lp, to_baseband
 # Residual below this fraction of a unit impulse counts as settled.
 _SETTLE_EPS = 1e-12
 
-# Input samples per chunk in run: a chunk's complex intermediates (256 KiB
-# each) stay in a 2 MiB L2 cache while every stage passes over them.
+# Input samples per chunk of a chain pass (run, and the noise studies, which
+# also draw their noise a chunk at a time): a chunk's complex intermediates
+# (256 KiB each) stay in a 2 MiB L2 cache while every stage passes over them.
 _CHUNK = 16384
 
 
@@ -106,6 +107,11 @@ class DdcChain:
         # Derived from the fields, so kept out of them (and out of __init__,
         # repr and equality); frozen, hence set through object.__setattr__.
         object.__setattr__(self, "_stages", tuple(stages))
+        # One carrier block of the mixer's phasors, doubled (exactly, so
+        # ``values * mixer`` is bitwise ``2.0 * values * phasors``).
+        mixer = 2.0 * self.carrier.mixer_phases()
+        mixer.setflags(write=False)
+        object.__setattr__(self, "_mixer", mixer)
 
     @property
     def output_period(self) -> float:
@@ -154,12 +160,19 @@ def make_chain(
     )
 
 
-def _mix(values: np.ndarray, start: int, carrier: CarrierConfig) -> np.ndarray:
-    """The array kernel of :func:`mix_down`; ``start`` is the absolute index
-    of ``values[0]``."""
-    table = carrier.mixer_phases()
-    k = (start + np.arange(len(values))) % carrier.samples
-    return 2.0 * values * table[k]
+def _mixer_table(block: np.ndarray, count: int) -> np.ndarray:
+    """One carrier block of doubled mixer phasors, tiled by one C-level
+    repeat so that ``count`` samples can be read from any offset within the
+    first block."""
+    blocks = -(-(count + len(block) - 1) // len(block))
+    return block[np.newaxis].repeat(blocks, axis=0).ravel()
+
+
+def _mix(values: np.ndarray, offset: int, table: np.ndarray) -> np.ndarray:
+    """The array kernel of :func:`mix_down`: ``values`` times the contiguous
+    slice of a :func:`_mixer_table` that starts at ``offset``, the absolute
+    index of ``values[0]`` modulo the carrier block."""
+    return values * table[offset : offset + len(values)]
 
 
 def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
@@ -171,7 +184,8 @@ def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
     the double-frequency line.
     """
     _check_type(y, (RealSeq, ComplexSeq), "mix_down input")
-    return ComplexSeq(_mix(y.values, y.start, carrier), start=y.start)
+    table = _mixer_table(2.0 * carrier.mixer_phases(), len(y))
+    return ComplexSeq(_mix(y.values, y.start % carrier.samples, table), start=y.start)
 
 
 @dataclass(frozen=True)
@@ -243,8 +257,10 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     decimator and the stages after it.  ``y`` was validated when it was
     built, so the stages pass plain arrays along, through the same kernels
     as :func:`~ddckit.core.filter_stream` and :func:`mix_down`, and only the
-    output is wrapped in a sequence.  Output sample j sits at absolute input
-    index ``y.start + decimation_phase + j*decimation``; like
+    output is wrapped in a sequence, which takes the array :func:`_run`
+    built as its own, without a copy.  An output that leaves the float range
+    raises :class:`~ddckit.core.DomainError`.  Output sample j sits at
+    absolute input index ``y.start + decimation_phase + j*decimation``; like
     :func:`~ddckit.core.decimate`, the output is re-indexed, so
     ``out.seq.start`` is 0 whatever ``y.start`` is.  Output blocks that
     carry absolute indices belong to streamable chains (ROADMAP item 4).
@@ -257,45 +273,76 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
             f"input of {len(y)} samples is shorter than the chain transient "
             f"({transient_length(chain)} samples)"
         )
-    return DdcOutput(ComplexSeq(_run(chain, y.values, y.start)), chain)
+    # An overflow shows as a non-finite output, which the wrap refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _run(chain, y.values, y.start)
+    return DdcOutput(ComplexSeq._owning(values, "the chain's output"), chain)
+
+
+class _Stepper:
+    """One pass of a chain over its input, fed in consecutive chunks of at
+    most :data:`_CHUNK` samples.
+
+    It holds one :class:`~ddckit.core.FilterState` per stage, carried from
+    chunk to chunk, the absolute index of the next input sample, the
+    decimator's phase relative to the next chunk, and the chain's doubled
+    mixer phasors tiled past one chunk, so each chunk is mixed by one
+    contiguous slice.  The last stage before the decimator computes only the
+    samples the decimator keeps (unless it has a pole).  The filter kernels
+    sum in the same order whatever the split, so the outputs of all chunks,
+    in turn, are bitwise those of running each whole stage in turn.  This is
+    the seam for a streamable chain's state (ROADMAP item 4).
+    """
+
+    def __init__(self, chain: DdcChain, start: int, count: int) -> None:
+        """A pass over ``count`` input samples, the first at absolute index
+        ``start``."""
+        passband, before, after = [], [], []
+        for stage in chain._stages:
+            if stage.filter.domain is Domain.PASSBAND:
+                group = passband
+            else:
+                group = after if stage.decimated else before
+            group.append((stage.filter, FilterState(stage.filter)))
+        # The envelope filter always runs before the decimator, so ``before``
+        # is never empty; its last stage computes only the samples the
+        # decimator keeps, input samples phase, phase + factor, ...
+        *before, self._last = before
+        self._passband, self._before, self._after = passband, before, after
+        self._samples = chain.carrier.samples
+        self._table = _mixer_table(chain._mixer, min(count, _CHUNK))
+        self._factor = chain.decimation
+        self._phase = chain.decimation_phase
+        self.index = start
+
+    def step(self, values: np.ndarray) -> np.ndarray:
+        """The chain's output for the next chunk of real input samples."""
+        # Each stage rebinds ``v``, so no stage's input outlives its use.
+        v = values
+        for filt, state in self._passband:
+            v = _filter_block(filt, state, v)
+        v = _mix(v, self.index % self._samples, self._table)
+        for filt, state in self._before:
+            v = _filter_block(filt, state, v)
+        last, last_state = self._last
+        v = _filter_block(last, last_state, v, (self._phase, self._factor))
+        for filt, state in self._after:
+            v = _filter_block(filt, state, v)
+        self.index += len(values)
+        self._phase = (self._phase - len(values)) % self._factor
+        return v
 
 
 def _run(chain: DdcChain, values: np.ndarray, start: int) -> np.ndarray:
     """The array kernel of :func:`run`: the chain's output for the real ADC
     samples ``values``, whose first sample sits at absolute index ``start``.
 
-    The input goes through every stage in cache-sized chunks, each stage
-    carrying its filter state from one chunk to the next, and the last stage
-    before the decimator computes only the samples the decimator keeps
-    (unless it has a pole).  The filter kernels sum in the same order
-    whatever the split, so the output is bitwise that of running each whole
-    stage in turn.
+    The input goes through one :class:`_Stepper` pass in cache-sized chunks,
+    whose outputs are joined.
     """
-    passband, before, after = [], [], []
-    for stage in chain._stages:
-        if stage.filter.domain is Domain.PASSBAND:
-            group = passband
-        else:
-            group = after if stage.decimated else before
-        group.append((stage.filter, FilterState(stage.filter)))
-    # The envelope filter always runs before the decimator, so ``before`` is
-    # never empty; its last stage computes only the samples the decimator
-    # keeps, input samples phase, phase + factor, ...
-    *before, (last, last_state) = before
-    factor, phase = chain.decimation, chain.decimation_phase
-    parts = []
-    for begin in range(0, len(values), _CHUNK):
-        # Each stage rebinds ``v``, so no stage's input outlives its use.
-        v = values[begin : begin + _CHUNK]
-        for filt, state in passband:
-            v = _filter_block(filt, state, v)
-        v = _mix(v, start + begin, chain.carrier)
-        for filt, state in before:
-            v = _filter_block(filt, state, v)
-        v = _filter_block(last, last_state, v, ((phase - begin) % factor, factor))
-        for filt, state in after:
-            v = _filter_block(filt, state, v)
-        parts.append(v)
-    # A single chunk is returned as it is; the parts go when this returns, so
-    # at most two copies of the output are alive while run validates it.
+    step = _Stepper(chain, start, len(values)).step
+    parts = [
+        step(values[begin : begin + _CHUNK]) for begin in range(0, len(values), _CHUNK)
+    ]
+    # A single chunk is returned as it is; run's output takes it as its own.
     return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -7,7 +7,11 @@ cyclostationary; the experiments then verify that its output variance matches
 ``4*sigma^2`` times the analytic filter energy.  Every stage of a chain is
 linear, so that variance is measured by running the chain on the seeded noise
 alone.  The generator is NumPy's PCG64 ``Generator.standard_normal``, seeded
-per spec, which pins every experiment to a reproducible stream.
+per spec, which pins every experiment to a reproducible stream.  One helper
+draws that noise, a chain chunk at a time; chunked draws are bitwise the
+one-shot draw.  A noise study streams each chunk through the chain as it is
+drawn and keeps only the output power after the transient, so its memory does
+not grow with the whole noise or output.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence, Union, get_args
+from typing import Iterable, Iterator, Sequence, Union, get_args
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .core import (
     _validated_samples,
 )
 from .filters import make_iq
-from .pipeline import DdcChain, _run, run, transient_length
+from .pipeline import _CHUNK, DdcChain, _Stepper, run, transient_length
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,31 @@ def _check_count(count) -> None:
         raise UsageError(f"count must be a positive integer, not {count!r}")
 
 
-def _adc_noise(sigma: float, seed: int, count: int) -> np.ndarray:
-    """The white ADC noise of a seeded stream: ``count`` real samples."""
-    return sigma * np.random.default_rng(seed).standard_normal(count)
+def _adc_noise(sigma: float, seed: int, count: int) -> Iterator[np.ndarray]:
+    """The white ADC noise of a seeded stream, ``count`` real samples, drawn
+    in consecutive chunks of at most ``_CHUNK``.
+
+    The generator draws its normals one after another, so the chunks are
+    bitwise the one-shot draw ``sigma * standard_normal(count)``."""
+    rng = np.random.default_rng(seed)
+    for begin in range(0, count, _CHUNK):
+        chunk = rng.standard_normal(min(_CHUNK, count - begin))
+        chunk *= sigma
+        yield chunk
+
+
+def _adc_stream(
+    spec: SignalSpec, carrier: CarrierConfig, count: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The samples of :func:`synthesize`, as a new array, and the noise in
+    them as the chunks it was drawn in (none without noise)."""
+    y = _clean_samples(spec, carrier, count)
+    noise = []
+    if spec.noise_sigma > 0.0:
+        noise = list(_adc_noise(spec.noise_sigma, spec.seed, count))
+        for begin, chunk in zip(range(0, count, _CHUNK), noise):
+            y[begin : begin + len(chunk)] += chunk
+    return y, noise
 
 
 def _clean_samples(spec: SignalSpec, carrier: CarrierConfig, count: int) -> np.ndarray:
@@ -198,10 +224,7 @@ def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
     frequencies regardless of length.
     """
     _check_count(count)
-    y = _clean_samples(spec, carrier, count)
-    if spec.noise_sigma > 0.0:
-        y += _adc_noise(spec.noise_sigma, spec.seed, count)
-    return RealSeq(y, start=0)
+    return RealSeq(_adc_stream(spec, carrier, count)[0], start=0)
 
 
 @dataclass(frozen=True)
@@ -229,14 +252,31 @@ def _first_clean_output(chain: DdcChain) -> int:
     return max(0, math.ceil((settle - chain.decimation_phase) / chain.decimation))
 
 
-def _noise_power(chain: DdcChain, noise: np.ndarray, j0: int) -> np.ndarray:
+def _noise_power(
+    chain: DdcChain, noise: Iterable[np.ndarray], count: int, j0: int
+) -> np.ndarray:
     """Output power of the chain run on ADC noise alone, from output sample
     ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain.
 
-    The noise comes from :func:`_adc_noise`, not from outside, so it goes
-    through the chain's array kernel without being validated again.  The
-    caller has checked that the run has post-transient output."""
-    return np.abs(_run(chain, noise, 0)[j0:]) ** 2
+    ``noise`` holds the ``count`` samples in the chunks :func:`_adc_noise`
+    draws.  Each chunk goes through one :class:`~ddckit.pipeline._Stepper`
+    pass as it comes, and the power of its post-transient outputs is written
+    into one array, so neither the whole output nor, when ``noise`` is drawn
+    as it is read, the whole noise is built.  The noise is the package's
+    own, so it is not validated again.  The caller has checked that the run
+    has post-transient output."""
+    outputs = len(range(chain.decimation_phase, count, chain.decimation))
+    power = np.empty(outputs - j0)
+    step = _Stepper(chain, 0, count).step
+    end = -j0  # where the next chunk's last output goes in ``power``, plus 1
+    for chunk in noise:
+        z = step(chunk)
+        end += len(z)
+        # Outputs before j0 would go below index 0: they are dropped.
+        dest = power[max(end - len(z), 0) : max(end, 0)]
+        np.abs(z[len(z) - len(dest) :], out=dest)
+        np.square(dest, out=dest)
+    return power
 
 
 def analytic_noise_gain(chain: DdcChain) -> float:
@@ -302,15 +342,12 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     envelope trajectory and the analytic noise gain.
 
     The envelope error and the spurs are measured on the chain's output for
-    the whole stream; the empirical noise gain on a second run, of the
-    stream's ADC noise alone.  The noise is drawn once, for both runs."""
+    the whole stream; the empirical noise gain on a second pass, over the
+    stream's ADC noise alone, through the noise study's output-power helper.
+    The noise is drawn once, for both runs."""
     _check_count(count)
     settle = _check_experiment_length(chain, count)
-    y = _clean_samples(spec, chain.carrier, count)
-    noise = None
-    if spec.noise_sigma > 0.0:
-        noise = _adc_noise(spec.noise_sigma, spec.seed, count)
-        y += noise
+    y, noise = _adc_stream(spec, chain.carrier, count)
     # The stream carries the spec's amplitudes, so it enters through run.
     out = run(chain, RealSeq(y))
     del y
@@ -322,9 +359,9 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
         raise UsageError("no post-transient output samples to evaluate")
 
     gain = stderr = None
-    if noise is not None:
+    if noise:
         with np.errstate(over="ignore", invalid="ignore"):
-            power = _noise_power(chain, noise, j0)
+            power = _noise_power(chain, noise, count, j0)
             scale = 4.0 * spec.noise_sigma**2
             gain = float(np.mean(power)) / scale
             blocks = min(16, len(power))
@@ -361,9 +398,12 @@ def noise_gain_study(
     """Monte-Carlo noise gain over several distinct seeds, as a norm report.
 
     Every stage of the chain is linear, so each seed's estimate comes from one
-    run of the chain on that seed's ADC noise alone.  By linearity, only
-    ``spec.noise_sigma`` affects the estimate: the envelope, harmonics, DC
-    offset and ``spec.seed`` do not.
+    pass of the chain over that seed's ADC noise alone.  The noise is drawn a
+    chunk at a time and streamed through the chain, and the estimate is the
+    mean of the post-transient output power, held in one array per seed; the
+    numbers are bitwise those of running the chain on the whole noise at
+    once.  By linearity, only ``spec.noise_sigma`` affects the estimate: the
+    envelope, harmonics, DC offset and ``spec.seed`` do not.
     """
     _check_count(count)
     if spec.noise_sigma <= 0.0:
@@ -384,7 +424,7 @@ def noise_gain_study(
     with np.errstate(over="ignore", invalid="ignore"):
         for seed in seeds:
             noise = _adc_noise(spec.noise_sigma, seed, count)
-            gains.append(float(np.mean(_noise_power(chain, noise, j0))) / scale)
+            gains.append(float(np.mean(_noise_power(chain, noise, count, j0))) / scale)
         gains_arr = np.asarray(gains)
         value = float(np.mean(gains_arr))
         stderr = float(np.std(gains_arr, ddof=1) / math.sqrt(len(gains_arr)))

@@ -355,6 +355,12 @@ def test_tune_unachievable_target_raises_domain_error():
         dk.tune_lp_bandwidth(dk.make_ma(11), -150.0, 1.0)
 
 
+def test_tune_target_beyond_float_range_raises_domain_error():
+    # 10**(4000/10) overflows a float; no gain reaches it.
+    with pytest.raises(dk.DomainError, match="achievable"):
+        dk.tune_lp_bandwidth(dk.make_ma(11), 4000.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "ddc",
     [

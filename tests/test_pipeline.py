@@ -1,6 +1,7 @@
 """Chain composition: mixer, envelope recovery, ordering, latency metadata."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,27 @@ def test_mix_down_is_start_index_aware():
     head = dk.mix_down(dk.RealSeq(y.values[:70]), carrier).values
     tail = dk.mix_down(dk.RealSeq(y.values[70:], start=70), carrier).values
     assert np.array_equal(np.concatenate([head, tail]), whole)
+
+
+@pytest.mark.parametrize("start", [0, 5, 40_000_007])
+def test_mixer_is_the_doubled_phasor_at_the_absolute_index(start):
+    # Pinned to the literal formula, not to the tiled table the kernel
+    # slices: through mix_down on real and complex samples spanning several
+    # chunks, and through the kernel on one chunk with a chain's table.
+    carrier = dk.CarrierConfig(7, 33)
+    count = 2 * dk.pipeline._CHUNK + 777
+    rng = np.random.default_rng(start)
+    real = rng.standard_normal(count)
+    cplx = real + 1j * rng.standard_normal(count)
+    phasors = carrier.mixer_phases()[(start + np.arange(count)) % carrier.samples]
+    for values, seq in ((real, dk.RealSeq(real, start)), (cplx, dk.ComplexSeq(cplx, start))):
+        expected = 2.0 * values * phasors
+        assert dk.mix_down(seq, carrier).values.tobytes() == expected.tobytes()
+    chain = dk.DdcChain(carrier, dk.make_ma(3))
+    chunk = real[: dk.pipeline._CHUNK]
+    table = dk.pipeline._mixer_table(chain._mixer, len(chunk))
+    mixed = dk.pipeline._mix(chunk, start % carrier.samples, table)
+    assert mixed.tobytes() == (2.0 * chunk * phasors[: len(chunk)]).tobytes()
 
 
 # ------------------------------------------------------------- chain rules
@@ -335,6 +357,44 @@ def test_chunked_run_matches_whole_stages(pre_mixer, lowpass, decimation, phase,
     out = dk.run(chain, y)
     assert len(validations) == 1
     assert out.seq.values.tobytes() == z.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "count", [1000, 2 * dk.pipeline._CHUNK + 5], ids=["one-chunk", "three-chunks"]
+)
+def test_run_takes_the_output_its_kernel_built_without_a_copy(count, monkeypatch):
+    # A decimated pole leaves a one-chunk output as a strided view.
+    built = []
+    kernel = dk.pipeline._run
+
+    def recording_kernel(*args):
+        built.append(kernel(*args))
+        return built[-1]
+
+    monkeypatch.setattr("ddckit.pipeline._run", recording_kernel)
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.make_chain(
+        carrier, dk.make_2sr(carrier), lp_bandwidth=0.1, decimation=3, decimation_phase=1
+    )
+    y = dk.RealSeq(np.random.default_rng(2).standard_normal(count))
+    validations = _count_validations(monkeypatch)
+    out = dk.run(chain, y)
+    assert len(validations) == 1
+    assert out.seq.values is built[0]
+    assert not out.seq.values.flags.writeable
+    assert out.seq.start == 0
+
+
+def test_run_output_beyond_float_range_is_a_domain_error():
+    # Finite samples whose mixed and filtered values are not: the fault is
+    # the result's range, not the caller's sequence, and numpy stays quiet.
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.DdcChain(carrier, dk.make_2sr(carrier))
+    y = dk.RealSeq(np.full(500, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dk.DomainError, match="float range"):
+            dk.run(chain, y)
 
 
 @pytest.mark.parametrize(

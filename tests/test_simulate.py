@@ -1,6 +1,8 @@
 """Synthetic streams and experiments against the analytic baseband model."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -289,17 +291,19 @@ def _study_chain():
 
 
 def test_noise_gain_study_runs_the_chain_once_per_seed(monkeypatch):
-    calls = []
-    real_run = dk.pipeline._run
+    # One stepper pass per seed, each from index 0 over the whole stream.
+    passes = []
 
-    def counting_run(*args, **kwargs):
-        calls.append(1)
-        return real_run(*args, **kwargs)
+    class CountingStepper(dk.pipeline._Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            passes.append(self)
 
-    monkeypatch.setattr("ddckit.simulate._run", counting_run)
+    monkeypatch.setattr("ddckit.simulate._Stepper", CountingStepper)
     spec = dk.SignalSpec(dk.ConstantEnvelope(0.7 - 0.4j), noise_sigma=1.3)
-    dk.noise_gain_study(spec, _study_chain(), 5_000, [2, 5, 11])
-    assert len(calls) == 3
+    count = 2 * dk.pipeline._CHUNK + 5_000
+    dk.noise_gain_study(spec, _study_chain(), count, [2, 5, 11])
+    assert [stepper.index for stepper in passes] == [count] * 3
 
 
 def test_noise_gain_study_is_the_noise_alone_composition():
@@ -310,6 +314,92 @@ def test_noise_gain_study_is_the_noise_alone_composition():
     gains = np.array([_noise_alone_gain(chain, sigma, s, count) for s in seeds])
     assert study.value == float(np.mean(gains))
     assert study.stderr == float(np.std(gains, ddof=1) / math.sqrt(len(seeds)))
+
+
+def _whole_array_gain(chain, sigma, seed, count):
+    """The noise gain of one seed composed over whole arrays: one draw, one
+    run of the chain's array kernel, one power array."""
+    j0 = max(
+        0,
+        math.ceil(
+            (dk.transient_length(chain) - chain.decimation_phase) / chain.decimation
+        ),
+    )
+    noise = sigma * np.random.default_rng(seed).standard_normal(count)
+    z = dk.pipeline._run(chain, noise, 0)
+    return float(np.mean(np.abs(z[j0:]) ** 2)) / (4.0 * sigma**2)
+
+
+def _streamed_chains():
+    """(name, chain, whether its first clean output lies past the first chunk)."""
+    carrier = dk.CarrierConfig(7, 33)
+    h = carrier.sample_period
+    low = dk.ChainOrder.DECIMATE_THEN_FILTER
+    # A pole at exp(-1e-3) settles over 27631 samples, past the first chunk.
+    slow, fast = 1e-3 / h, 0.01 * 2 * math.pi / h
+    two_sr = dk.make_2sr(carrier)
+    yield "full-rate-slow", dk.make_chain(carrier, two_sr, lp_bandwidth=slow), True
+    yield "slow-then-decimate", dk.make_chain(
+        carrier, two_sr, lp_bandwidth=slow, decimation=3, decimation_phase=2
+    ), True
+    yield "decimate-then-slow", dk.make_chain(
+        carrier, two_sr, lp_bandwidth=slow, decimation=3, decimation_phase=2, order=low
+    ), True
+    yield "filter-then-decimate", dk.make_chain(
+        carrier, two_sr, lp_bandwidth=fast, decimation=3, decimation_phase=1
+    ), False
+    yield "decimate-then-filter", dk.make_chain(
+        carrier, two_sr, lp_bandwidth=fast, decimation=3, decimation_phase=1, order=low
+    ), False
+    yield "polyphase-ma", dk.DdcChain(
+        dk.CarrierConfig(3, 14), dk.make_ma(14), decimation=14, decimation_phase=5
+    ), False
+
+
+@pytest.mark.parametrize(
+    "chain, past_first_chunk",
+    [(c, past) for _, c, past in _streamed_chains()],
+    ids=[name for name, _, _ in _streamed_chains()],
+)
+def test_streamed_noise_gain_study_is_the_whole_array_composition(chain, past_first_chunk):
+    # The study draws, runs and squares chunk by chunk; over a count that is
+    # not a multiple of the chunk, every number is that of whole arrays.
+    j0 = math.ceil((dk.transient_length(chain) - chain.decimation_phase) / chain.decimation)
+    first_chunk = len(range(chain.decimation_phase, dk.pipeline._CHUNK, chain.decimation))
+    assert (j0 > first_chunk) == past_first_chunk
+    sigma, seeds = 0.9, [3, 8]
+    count = 3 * dk.pipeline._CHUNK + 12_345
+    study = dk.noise_gain_study(dk.SignalSpec(noise_sigma=sigma), chain, count, seeds)
+    gains = np.array([_whole_array_gain(chain, sigma, s, count) for s in seeds])
+    expected = [np.mean(gains), np.std(gains, ddof=1) / math.sqrt(len(seeds))]
+    assert np.array([study.value, study.stderr]).tobytes() == np.array(expected).tobytes()
+
+
+def test_noise_gain_study_holds_only_the_output_power_in_memory():
+    # A full-rate study at 2**19 samples: the post-transient power array
+    # (4 MiB) plus chunk-sized temporaries, not the whole noise or output.
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.DdcChain(carrier, dk.make_2sr(carrier))
+    count = 1 << 19
+    spec = dk.SignalSpec(noise_sigma=1.0)
+    dk.noise_gain_study(spec, chain, 1 << 12, [1, 2])  # warm up caches
+    tracemalloc.start()
+    try:
+        dk.noise_gain_study(spec, chain, count, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    power = 8 * (count - dk.transient_length(chain))
+    assert peak < power + 2 * 2**20
+
+
+def test_signal_beyond_float_range_is_a_domain_error():
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.make_chain(carrier, dk.make_2sr(carrier))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dk.DomainError, match="float range"):
+            dk.run_experiment(dk.SignalSpec(dk.ConstantEnvelope(1e308)), chain, 5000)
 
 
 def test_noise_gain_study_depends_only_on_the_noise():
@@ -359,7 +449,7 @@ def test_noise_gain_study_rejects_runs_with_no_clean_output(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("ran the chain for an empty study")
 
-    monkeypatch.setattr("ddckit.simulate._run", no_run)
+    monkeypatch.setattr("ddckit.simulate._Stepper", no_run)
     with pytest.raises(dk.UsageError, match="post-transient"):
         dk.noise_gain_study(dk.SignalSpec(noise_sigma=1.0), chain, 14, [0, 1])
 
