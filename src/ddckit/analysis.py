@@ -132,10 +132,11 @@ def freq_response(obj: FilterOrCascade, grid) -> np.ndarray:
 
 
 def _response(stages: list[ComplexFilter], thetas: np.ndarray) -> np.ndarray:
-    """The array kernel of :func:`freq_response`."""
+    """The array kernel of :func:`freq_response`, for frequencies already
+    validated: each stage's response kernel, not its validating method."""
     resp = np.ones_like(thetas, dtype=np.complex128)
     for stage in stages:
-        resp = resp * stage.response(thetas)
+        resp = resp * stage._response(thetas)
     return resp
 
 

@@ -4,8 +4,12 @@ Everything downstream (filter constructors, chain composition, analysis) is
 built on the small set of types defined here.  All arithmetic is double
 precision.  Filters have complex coefficients; the FIR part is a direct sum
 over the taps in ascending order, and :func:`scipy.signal.lfilter` runs only
-the pole.  Explicit state objects make block processing exactly equivalent
-to one-shot processing.
+the pole.  ``scipy.signal``, most of a second to import, is loaded when a
+filter with a pole first runs, so importing the package and running
+pole-free filters never load it.  A filter whose taps and pole are real runs
+in real arithmetic as far as its input allows, with the complex kernel's
+bits.  Explicit state objects make block processing exactly equivalent to
+one-shot processing.
 
 What the package accepts from outside is decided here, once, by a few
 private validators that every entry point calls: integers and finite numbers
@@ -25,13 +29,13 @@ tap order, so the kept outputs are bitwise those of the full computation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 class DdcError(Exception):
@@ -269,6 +273,10 @@ class ComplexFilter:
     ``B(z) = taps[0] + taps[1] z^-1 + ...``.  ``pole=None`` is plain FIR; a
     single tap with a pole is the classic first-order low-pass; two taps over
     a pole covers the passband DC-reject form ``(1 - z^-1)/(1 - p z^-1)``.
+
+    A filter whose taps and pole are real (every imaginary part +0.0), with
+    neither the first tap nor the pole negative, runs in real arithmetic
+    wherever that gives the complex kernel's bits (see :class:`FilterState`).
     """
 
     taps: np.ndarray
@@ -292,9 +300,39 @@ class ComplexFilter:
                 raise UsageError(f"pole magnitude {abs(pole):.6g} >= 1 (unstable)")
             object.__setattr__(self, "pole", pole)
 
+    @functools.cached_property
+    def _real(self) -> bool:
+        """Whether the taps and pole are real and neither the first tap nor
+        the pole is negative: read once, when the first
+        :class:`FilterState` is built.
+
+        A negative first tap or pole, or a -0.0 imaginary part, can leave
+        -0.0 where the complex kernel has +0.0, so such filters stay
+        complex."""
+        signs = [self.taps[0].real]
+        imag = self.taps.imag
+        if self.pole is not None:
+            signs.append(self.pole.real)
+            imag = np.append(imag, self.pole.imag)
+        return not (imag.any() or np.signbit(imag).any() or np.signbit(signs).any())
+
     def response(self, theta) -> np.ndarray:
-        """Frequency response at normalized angular frequency ``theta`` (rad/sample)."""
-        theta = np.asarray(theta, dtype=np.float64)
+        """Frequency response at normalized angular frequency ``theta``
+        (rad/sample): a finite real number or a 1-D array of them."""
+        if _is_number(theta, numbers.Real):
+            theta = np.asarray(theta, dtype=np.float64)
+        elif isinstance(theta, (np.ndarray, list, tuple)):
+            theta = _validated_samples(theta, np.float64, "frequencies")
+        else:
+            raise UsageError(
+                f"frequency must be a finite real number or a 1-D array of "
+                f"them, not {theta!r}"
+            )
+        return self._response(theta)
+
+    def _response(self, theta: np.ndarray) -> np.ndarray:
+        """The array kernel of :meth:`response`, for frequencies already
+        validated."""
         w = np.exp(-1j * theta)
         num = np.polynomial.polynomial.polyval(w, self.taps)
         if self.pole is None:
@@ -303,6 +341,10 @@ class ComplexFilter:
 
     def impulse(self, count: int) -> np.ndarray:
         """First ``count`` samples of the impulse response."""
+        if not _is_int(count) or count < 0:
+            raise UsageError(
+                f"impulse length must be a non-negative integer, not {count!r}"
+            )
         x = np.zeros(count, dtype=np.complex128)
         if count > 0:
             x[0] = 1.0
@@ -321,19 +363,39 @@ class FilterState:
     Processing a sequence in blocks through the same state gives exactly the
     one-shot result (bitwise for the FIR part: the per-sample tap summation
     order is fixed and independent of block boundaries).
+
+    Whether the filter runs in real arithmetic is decided here, once: a state
+    of a filter with real taps and pole holds real values, and real input
+    blocks run through it in ``float64``.  Its first complex block turns it
+    into a complex state (the real values with imaginary parts +0.0, which
+    is what the complex kernel would hold), so the outputs are bitwise those
+    of the complex kernel whatever the blocks.
     """
 
     def __init__(self, filt: ComplexFilter) -> None:
         self.filter = filt
-        self._delay = np.zeros(len(filt.taps) - 1, dtype=np.complex128)
-        self._carry = (
-            None if filt.pole is None else np.zeros(1, dtype=np.complex128)
-        )
+        dtype = np.float64 if filt._real else np.complex128
+        self._delay = np.zeros(len(filt.taps) - 1, dtype=dtype)
+        self._carry = None if filt.pole is None else np.zeros(1, dtype=dtype)
 
     def reset(self) -> None:
         self._delay[:] = 0.0
         if self._carry is not None:
             self._carry[:] = 0.0
+
+
+_FLOAT64 = np.dtype(np.float64)
+_ONE = np.ones(1)
+
+
+@functools.cache
+def _lfilter():
+    """:func:`scipy.signal.lfilter`, imported when a filter with a pole
+    first runs: ``scipy.signal`` takes most of a second to import, and
+    nothing else in the package needs it."""
+    from scipy.signal import lfilter
+
+    return lfilter
 
 
 def _filter_block(
@@ -343,7 +405,7 @@ def _filter_block(
     keep: tuple[int, int] = (0, 1),
 ) -> np.ndarray:
     """The array kernel of :func:`filter_stream`: filter one block of
-    samples, real or complex, and return the complex output array.
+    samples, real or complex, and return the output array.
 
     ``keep = (first, step)`` returns only the outputs ``first::step`` of the
     block, bitwise equal to slicing the full output, and leaves the same
@@ -351,16 +413,34 @@ def _filter_block(
     ...``, in ascending tap order, only at the kept ``k`` (polyphase
     decimation); the delay line still advances over the whole block.  A
     filter with a pole needs every output for its recursion, so it computes
-    them all and then slices.
+    them all and then slices; the first pole to run imports ``scipy.signal``.
+
+    A real block through a real state (see :class:`FilterState`) runs the
+    taps and the pole in ``float64`` and returns a real array: its values are
+    the real parts of the complex kernel's output, whose imaginary parts are
+    all +0.0, which is what numpy adds when it promotes the real array to
+    complex (in the mixer, or in a :class:`ComplexSeq`).  Any other block runs
+    in ``complex128`` and returns a complex array; there a real pole runs
+    through :func:`_recursion`.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(values)
+    if values.dtype is _FLOAT64 and state._delay.dtype is _FLOAT64:
+        taps = filt.taps.real
+    else:
+        values = values.astype(np.complex128, copy=False)
+        taps = filt.taps
+        if state._delay.dtype is _FLOAT64:
+            # A real state's first complex block: +0.0 imaginary parts are
+            # what the complex kernel would have carried.
+            state._delay = state._delay.astype(np.complex128)
+            if state._carry is not None:
+                state._carry = state._carry.astype(np.complex128)
     count = len(values)
     if count == 0:
         # For an empty block lfilter does not hand back the carry it was
         # given (scipy 1.17 returns uninitialised memory); keep the state.
         return values
     first, step = (0, 1) if filt.pole is not None else keep
-    taps = filt.taps
     length = len(taps)
     if length == 1:
         v = taps[0] * values[first::step]
@@ -374,13 +454,42 @@ def _filter_block(
             v += tmp
         state._delay = history[count:].copy()
     if filt.pole is not None:
-        v, state._carry = lfilter(
-            np.ones(1, dtype=np.complex128),
-            np.array([1.0, -filt.pole], dtype=np.complex128),
-            v,
-            zi=state._carry,
-        )
-        v = v[keep[0] :: keep[1]]
+        v = _recursion(filt, state, v)[keep[0] :: keep[1]]
+    return v
+
+
+def _recursion(filt: ComplexFilter, state: FilterState, v: np.ndarray) -> np.ndarray:
+    """``y[k] = pole*y[k-1] + v[k]`` from the carry in ``state``, which it
+    updates: the pole of :func:`_filter_block`.
+
+    A real ``v`` runs in one real :func:`~scipy.signal.lfilter`.  A complex
+    ``v`` through a real pole runs as one real ``lfilter`` down the two
+    columns of its ``(n, 2)`` float view, carried in the complex carry's
+    float view.  The two differ from the complex ``lfilter`` only in the
+    sign of a zero: where a part of ``v`` is zero, or where ``pole*y`` is
+    zero and the next part of ``v`` is too.  So the float view runs only on
+    a ``v`` with no zero part, and its result is kept only if the carry it
+    hands on has none; any other block runs through the complex ``lfilter``.
+    """
+    lfilter = _lfilter()
+    if filt._real:
+        a = np.array([1.0, -filt.pole.real])
+        if v.dtype is _FLOAT64:
+            v, state._carry = lfilter(_ONE, a, v, zi=state._carry)
+            return v
+        pairs = v.view(np.float64).reshape(-1, 2)
+        if not (pairs == 0.0).any():
+            zi = state._carry.view(np.float64).reshape(1, 2)
+            y, carry = lfilter(_ONE, a, pairs, axis=0, zi=zi)
+            if carry.all():
+                state._carry = carry.view(np.complex128).reshape(1)
+                return y.view(np.complex128).reshape(-1)
+    v, state._carry = lfilter(
+        np.ones(1, dtype=np.complex128),
+        np.array([1.0, -filt.pole], dtype=np.complex128),
+        v,
+        zi=state._carry,
+    )
     return v
 
 

@@ -161,9 +161,10 @@ def make_chain(
 
 
 def _mixer_table(block: np.ndarray, count: int) -> np.ndarray:
-    """One carrier block of doubled mixer phasors, tiled by one C-level
-    repeat so that ``count`` samples can be read from any offset within the
-    first block."""
+    """One block of a block-periodic table, such as the doubled mixer
+    phasors, tiled by one C-level repeat so that ``count`` samples can be
+    read from any offset within the first block.  A slice holds the values
+    of a gather ``block[k % len(block)]``."""
     blocks = -(-(count + len(block) - 1) // len(block))
     return block[np.newaxis].repeat(blocks, axis=0).ravel()
 

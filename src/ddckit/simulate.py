@@ -35,7 +35,7 @@ from .core import (
     _validated_samples,
 )
 from .filters import make_iq
-from .pipeline import _CHUNK, DdcChain, _Stepper, run, transient_length
+from .pipeline import _CHUNK, DdcChain, _Stepper, _mixer_table, run, transient_length
 
 
 @dataclass(frozen=True)
@@ -204,12 +204,11 @@ def _clean_samples(spec: SignalSpec, carrier: CarrierConfig, count: int) -> np.n
     """The deterministic part of a stream: every term of :func:`synthesize`
     but the noise, as a new array."""
     k = np.arange(count)
-    idx = k % carrier.samples
     carrier_pos = np.conj(carrier.mixer_phases())  # exp(+1j*step*k), one block
-    y = (spec.envelope.at(k) * carrier_pos[idx]).real.copy()
+    y = (spec.envelope.at(k) * _mixer_table(carrier_pos, count)[:count]).real.copy()
     for order, amplitude in spec.harmonics:
         table = np.exp(1j * (order * carrier.phase_step) * np.arange(carrier.samples))
-        y += (complex(amplitude) * table[idx]).real
+        y += _mixer_table((complex(amplitude) * table).real, count)[:count]
     if spec.dc_offset:
         y += spec.dc_offset
     return y
@@ -313,14 +312,15 @@ def _demodulate_spurs(
     usable = (len(residual) // block) * block
     if usable == 0:
         return math.nan
-    window = residual[:usable]
-    idx = np.arange(usable) % block
+    # One carrier block per row: a row times a block-length table is the
+    # window times the periodic phasor, element for element.
+    rows = residual[:usable].reshape(-1, block)
     strongest = 0.0
     for theta in thetas:
         # At the output rate the spur period still divides one carrier block,
         # so the demodulating phasor is read from a block-length table.
         table = np.exp(-1j * (theta * chain.decimation) * np.arange(block))
-        amp = abs(np.mean(window * table[idx]))
+        amp = abs(np.mean((rows * table).ravel()))
         strongest = max(strongest, amp)
     return strongest
 

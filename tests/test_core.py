@@ -379,6 +379,29 @@ def test_values_out_of_their_domain_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: f.response(None),
+        lambda f: f.response(True),
+        lambda f: f.response("a"),
+        lambda f: f.response(math.inf),
+        lambda f: f.response(math.nan),
+        lambda f: f.response(np.array([0.1, math.nan])),
+        lambda f: f.response([[0.1, 0.2]]),
+        lambda f: f.impulse(-1),
+        lambda f: f.impulse(1.5),
+        lambda f: f.impulse(True),
+    ],
+    ids=["response-none", "response-bool", "response-text", "response-inf",
+         "response-nan", "response-nan-array", "response-2d", "impulse-negative",
+         "impulse-float", "impulse-bool"],
+)
+def test_filter_response_and_impulse_refuse_bad_requests(call):
+    with pytest.raises(dk.UsageError):
+        call(dk.make_ma(3))
+
+
 @pytest.mark.parametrize("pole", [np.float32(0.9), np.float64(0.9)], ids=["f32", "f64"])
 def test_dc_reject_pole_takes_any_real_float(pole):
     assert dk.make_dc_reject_passband(pole).pole == float(pole)

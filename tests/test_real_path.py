@@ -1,0 +1,259 @@
+"""Real coefficients in real arithmetic: the float64 paths of the filter
+kernel against a literal complex composition, bit for bit, and the lazy
+import of scipy.signal that only a pole needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
+
+import ddckit as dk
+from ddckit import pipeline
+
+
+def _reference_filter(filt, x):
+    """The filter as one complex composition from zero state: the tap sums
+    in ascending order on the complex128 input, then the complex lfilter."""
+    x = np.asarray(x, dtype=np.complex128)
+    taps, n, span = filt.taps, len(x), len(filt.taps) - 1
+    history = np.concatenate([np.zeros(span, dtype=np.complex128), x])
+    v = taps[0] * history[span:]
+    for m in range(1, span + 1):
+        v = v + taps[m] * history[span - m : span - m + n]
+    if filt.pole is not None:
+        v = lfilter(
+            np.ones(1, dtype=np.complex128),
+            np.array([1.0, -filt.pole], dtype=np.complex128),
+            v,
+        )
+    return v
+
+
+def _reference_chain(chain, x, start):
+    """The chain as one complex composition: pre-mixer, mixer read by the
+    absolute index, envelope filter, and the low-pass before or after the
+    decimator, every stage computed at every sample."""
+    v = np.asarray(x, dtype=np.complex128)
+    if chain.pre_mixer is not None:
+        v = _reference_filter(chain.pre_mixer, v)
+    phasors = 2.0 * chain.carrier.mixer_phases()
+    v = v * phasors[(start + np.arange(len(v))) % chain.carrier.samples]
+    v = _reference_filter(chain.ddc, v)
+    after = chain.order is dk.ChainOrder.DECIMATE_THEN_FILTER
+    if chain.lowpass is not None and not after:
+        v = _reference_filter(chain.lowpass, v)
+    v = v[chain.decimation_phase :: chain.decimation]
+    if chain.lowpass is not None and after:
+        v = _reference_filter(chain.lowpass, v)
+    return v
+
+
+def _run_in_blocks(chain, x, start, cuts):
+    stepper = pipeline._Stepper(chain, start, len(x))
+    bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
+    parts = [stepper.step(x[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    return np.concatenate(parts)
+
+
+# Floats from the whole range the kernel sees, with both signed zeros and
+# subnormals, whose products can underflow to a zero of either sign.
+_sample = st.floats(-8.0, 8.0) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310])
+_samples = st.lists(_sample, min_size=1, max_size=60)
+_cuts = st.lists(st.integers(min_value=0, max_value=60), max_size=4)
+
+
+@given(
+    data=_samples,
+    cuts=_cuts,
+    pre_pole=st.none() | st.floats(0.5, 0.999),
+    lp_pole=st.none() | st.floats(0.0, 0.999),
+    decimation=st.integers(min_value=1, max_value=5),
+    phase=st.integers(min_value=0, max_value=4),
+    after=st.booleans(),
+    envelope=st.sampled_from(["ma5", "2sr"]),
+    start=st.sampled_from([0, 40000007]),
+)
+@settings(max_examples=150, deadline=None)
+@example(
+    data=[0.0, -0.0] * 30, cuts=[7, 31], pre_pole=0.9375, lp_pole=0.9,
+    decimation=3, phase=2, after=False, envelope="ma5", start=40000007,
+)
+@example(
+    data=[-0.0] * 40, cuts=[], pre_pole=0.9375, lp_pole=0.9,
+    decimation=2, phase=1, after=True, envelope="2sr", start=0,
+)
+def test_real_stages_in_chains_match_the_complex_composition_bitwise(
+    data, cuts, pre_pole, lp_pole, decimation, phase, after, envelope, start
+):
+    carrier = dk.CarrierConfig(7, 33)
+    ddc = dk.make_ma(5) if envelope == "ma5" else dk.make_2sr(carrier)
+    if lp_pole is None and after:
+        lp_pole = 0.5  # decimate-then-filter needs a low-pass
+    chain = dk.DdcChain(
+        carrier,
+        ddc,
+        lowpass=None if lp_pole is None else dk.ComplexFilter([1.0 - lp_pole], lp_pole),
+        pre_mixer=None if pre_pole is None else dk.make_dc_reject_passband(pre_pole),
+        decimation=decimation,
+        decimation_phase=phase % decimation,
+        order=(
+            dk.ChainOrder.DECIMATE_THEN_FILTER if after else dk.ChainOrder.FILTER_THEN_DECIMATE
+        ),
+    )
+    x = np.array(data)
+    expected = _reference_chain(chain, x, start)
+    assert _run_in_blocks(chain, x, start, cuts).tobytes() == expected.tobytes()
+    assert pipeline._run(chain, x, start).tobytes() == expected.tobytes()
+
+
+def test_run_matches_the_complex_composition_across_chunks():
+    # Several of run's 16384-sample chunks, with a pole on either side of
+    # the mixer and a decimator at a non-zero phase.
+    carrier = dk.CarrierConfig(3, 14)
+    x = np.random.default_rng(8).standard_normal(2 * 16384 + 777)
+    x[100:300] = -0.0
+    for order in dk.ChainOrder:
+        chain = dk.make_chain(
+            carrier,
+            dk.make_ma(14),
+            lp_bandwidth=0.05,
+            pre_mixer=dk.make_dc_reject_passband(15 / 16),
+            decimation=7,
+            decimation_phase=3,
+            order=order,
+        )
+        out = dk.run(chain, dk.RealSeq(x, start=40000007)).seq.values
+        assert out.tobytes() == _reference_chain(chain, x, 40000007).tobytes()
+
+
+_blocks = st.lists(st.tuples(st.booleans(), _samples), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [
+        dk.make_dc_reject_passband(15 / 16),
+        dk.make_lp(0.1, 1.0),
+        dk.make_ma(4),
+        dk.make_iq(dk.CarrierConfig(1, 4)),
+    ],
+    ids=["dc-reject", "lp", "ma4", "iq"],
+)
+@given(blocks=_blocks)
+@settings(max_examples=40, deadline=None)
+def test_a_real_state_fed_real_then_complex_blocks_matches_bitwise(filt, blocks):
+    # A real block from a second stream makes a complex block: its imaginary
+    # parts are the first stream's reversed.
+    state, outs, stream = dk.FilterState(filt), [], []
+    for is_complex, data in blocks:
+        x = np.array(data)
+        seq = dk.RealSeq(x)
+        if is_complex:
+            seq = dk.ComplexSeq(x + 1j * x[::-1])
+        stream.append(seq.values.astype(np.complex128))
+        outs.append(dk.filter_stream(filt, state, seq).values)
+    expected = _reference_filter(filt, np.concatenate(stream))
+    assert np.concatenate(outs).tobytes() == expected.tobytes()
+
+
+@given(
+    parts=st.lists(st.tuples(_sample, _sample), min_size=1, max_size=40),
+    cuts=_cuts,
+    pole=st.sampled_from([0.0, 1e-300, 0.5, 0.9375]) | st.floats(0.0, 0.99999),
+)
+@settings(max_examples=150, deadline=None)
+@example(parts=[(1.0, -0.0), (-0.0, -0.0), (-0.0, 1.0)], cuts=[1], pole=0.5)
+@example(parts=[(1.0, -1.0), (-1.0, -0.0)], cuts=[1], pole=0.0)
+def test_a_real_pole_on_complex_blocks_keeps_the_complex_signed_zeros(parts, cuts, pole):
+    # Zero parts, and products pole*y that underflow to zero, are where a
+    # real recursion over the float view could sign a zero differently from
+    # the complex one; those blocks must still give the complex bits.
+    filt = dk.ComplexFilter([1.0], pole=pole)
+    x = np.array([complex(re, im) for re, im in parts])
+    state, bounds = dk.FilterState(filt), [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
+    out = [dk.core._filter_block(filt, state, x[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(out).tobytes() == _reference_filter(filt, x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [
+        dk.to_baseband(dk.make_dc_reject_passband(15 / 16), dk.CarrierConfig(7, 33)),
+        dk.ComplexFilter([0.5], pole=0.5j),
+        dk.ComplexFilter([-1.0, 1.0], pole=0.5),
+        dk.ComplexFilter([1.0], pole=-0.5),
+    ],
+    ids=["baseband-dc-reject", "imaginary-pole", "negative-first-tap", "negative-pole"],
+)
+def test_filters_that_may_not_run_real_stay_on_the_complex_path(filt):
+    # Complex coefficients need complex arithmetic; a negative first tap or
+    # pole would turn some of the complex kernel's +0.0 into -0.0 in real
+    # arithmetic, so those filters stay complex too.
+    x = np.array([0.0, -0.0, 1.5, -2.0, -0.0, 0.25, 0.0, -1.0] * 4)
+    out = dk.core._filter_block(filt, dk.FilterState(filt), x)
+    assert out.dtype == np.complex128
+    assert out.tobytes() == _reference_filter(filt, x).tobytes()
+
+
+@given(data=_samples)
+@settings(max_examples=80, deadline=None)
+@example(data=[0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -0.0])
+def test_the_real_pre_mixer_stage_hands_the_mixer_its_exact_input(data):
+    # On the real ADC stream the complex kernel's imaginary parts are all
+    # +0.0, which is what numpy puts there when the mixer promotes the real
+    # output to complex; the real parts match bit for bit.
+    hp = dk.make_dc_reject_passband(15 / 16)
+    x = np.array(data)
+    expected = _reference_filter(hp, x)
+    assert not expected.imag.any() and not np.signbit(expected.imag).any()
+    out = dk.core._filter_block(hp, dk.FilterState(hp), x)
+    assert out.dtype == np.float64
+    assert out.tobytes() == expected.real.tobytes()
+    table = pipeline._mixer_table(2.0 * dk.CarrierConfig(7, 33).mixer_phases(), len(x))
+    assert pipeline._mix(out, 5, table).tobytes() == pipeline._mix(expected, 5, table).tobytes()
+
+
+_POLE_FREE = """
+import sys
+import numpy as np
+import ddckit as dk
+import ddckit.cli
+
+def check(loaded, after):
+    if ("scipy.signal" in sys.modules) != loaded:
+        sys.exit(f"scipy.signal {'not ' if loaded else ''}loaded after {after}")
+
+check(False, "import")
+ess = dk.get_preset("ess")
+envelope = dk.parse_filter_spec(ess.filter_spec, ess.carrier)[0]
+chain = dk.make_chain(ess.carrier, envelope, decimation=ess.decimation)
+dk.run(chain, dk.RealSeq(np.ones(700)))
+check(False, "a FIR-only run")
+carrier = dk.CarrierConfig(7, 33)
+dk.h2_norm_sq([dk.make_2sr(carrier), dk.make_lp(0.01, 1.0)])
+check(False, "h2_norm_sq")
+dk.freq_response(dk.make_ma(11), dk.FreqGrid.regular(64))
+check(False, "freq_response")
+ddckit.cli.main(["norm", "--carrier", "7/33", "--filter", "2sr", "--lp", "0.01"])
+check(False, "ddckit norm")
+chain = dk.make_chain(carrier, dk.make_2sr(carrier), lp_bandwidth=0.1)
+dk.run(chain, dk.RealSeq(np.ones(500)))
+check(True, "a run with a pole")
+"""
+
+
+def test_scipy_signal_is_imported_only_when_a_pole_runs():
+    # The child imports the same ddckit as this process.
+    src = str(Path(dk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _POLE_FREE], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
