@@ -328,13 +328,26 @@ class ComplexFilter:
                 f"frequency must be a finite real number or a 1-D array of "
                 f"them, not {theta!r}"
             )
-        return self._response(theta)
+        return self._response_at(np.exp(-1j * theta))
 
-    def _response(self, theta: np.ndarray) -> np.ndarray:
-        """The array kernel of :meth:`response`, for frequencies already
-        validated."""
-        w = np.exp(-1j * theta)
-        num = np.polynomial.polynomial.polyval(w, self.taps)
+    def _response_at(self, w):
+        """The array kernel of :meth:`response`, at the phasors
+        ``w = exp(-1j*theta)`` of frequencies already validated: an array or
+        a numpy scalar, so that a cascade computes its phasors once.
+
+        Horner's rule with numpy ``polyval``'s products and sums in its order
+        (``taps[-1] + w*0``, then ``taps[m] + acc*w``), so the bits are
+        ``polyval``'s.  Each sum is taken in place; each product is a new
+        array, because numpy's in-place complex product of a one-element
+        array can round differently from its out-of-place product (seen
+        with numpy 2.4 on an AVX-512 CPU).
+        """
+        taps = self.taps
+        num = w * 0
+        num += taps[-1]
+        for tap in taps[-2::-1]:
+            num = num * w
+            num += tap
         if self.pole is None:
             return num
         return num / (1.0 - self.pole * w)

@@ -49,6 +49,35 @@ def test_grid_validation():
         dk.FreqGrid(np.array([3.5]))
 
 
+@pytest.mark.parametrize("points", [1, 2, 3, 8, 64, 1000, 4096])
+def test_regular_grid_is_the_validated_grid_byte_for_byte(points):
+    step = 2 * math.pi / points
+    expected = dk.FreqGrid(-math.pi + step * np.arange(1, points + 1)).thetas
+    grid = dk.FreqGrid.regular(points, 1e6)
+    assert grid.thetas.tobytes() == expected.tobytes()
+    assert not grid.thetas.flags.writeable
+    assert grid.sample_rate == 1e6
+
+
+def test_regular_grid_ends_at_pi_where_the_step_rounds_up():
+    # 2*pi/25*25 rounds above 2*pi; the last point is clamped to pi.
+    for points in range(1, 2000):
+        grid = dk.FreqGrid.regular(points)
+        assert grid.thetas[-1] <= math.pi
+        assert dk.FreqGrid(grid.thetas).thetas.tobytes() == grid.thetas.tobytes()
+    assert dk.FreqGrid.regular(25).thetas[-1] == math.pi
+
+
+@pytest.mark.parametrize(
+    "points, sample_rate",
+    [(0, None), (-1, None), (2.0, None), ("8", None), (8, 0.0), (8, -1.0),
+     (8, math.inf), (8, math.nan), (8, "1"), (8, True)],
+)
+def test_regular_grid_refuses_bad_arguments(points, sample_rate):
+    with pytest.raises(dk.UsageError):
+        dk.FreqGrid.regular(points, sample_rate)
+
+
 # ----------------------------------------------------------- freq_response
 
 def test_freq_response_ma11_values():
@@ -90,6 +119,44 @@ def test_freq_response_rejects_non_finite_frequency(theta):
         dk.freq_response([dk.make_ma(3)], np.array([theta]))
     with pytest.raises(dk.UsageError):
         dk.freq_response(dk.make_ma(3), np.array([0.0, theta]))
+
+
+def _polyval_stage(stage, thetas):
+    """One stage's response as numpy's polyval over the taps, then the pole."""
+    from numpy.polynomial.polynomial import polyval
+
+    w = np.exp(-1j * thetas)
+    resp = polyval(w, stage.taps)
+    if stage.pole is None:
+        return resp
+    return resp / (1.0 - stage.pole * w)
+
+
+_part = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+_any_stage = st.builds(
+    lambda taps, pole: dk.ComplexFilter(np.array(taps, dtype=complex), pole),
+    st.lists(st.builds(complex, _part, _part), min_size=1, max_size=8),
+    st.none()
+    | st.sampled_from([0.0, -0.0, 0.5])
+    | st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+)
+
+
+@given(
+    stages=st.lists(_any_stage, min_size=1, max_size=3),
+    thetas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_freq_response_is_bitwise_the_polyval_composition(stages, thetas):
+    thetas = np.array(thetas)
+    expected = np.ones_like(thetas, dtype=np.complex128)
+    for stage in stages:
+        expected = expected * _polyval_stage(stage, thetas)
+    assert dk.freq_response(stages, thetas).tobytes() == expected.tobytes()
+    theta = float(thetas[0])
+    for stage in stages:
+        got = np.asarray(stage.response(theta))
+        assert got.tobytes() == np.asarray(_polyval_stage(stage, np.asarray(theta))).tobytes()
 
 
 # -------------------------------------------------------------- h2_norm_sq
@@ -361,6 +428,61 @@ def test_tune_target_beyond_float_range_raises_domain_error():
         dk.tune_lp_bandwidth(dk.make_ma(11), 4000.0, 1.0)
 
 
+def test_tune_refuses_a_period_that_overflows_the_bandwidth():
+    with pytest.raises(dk.UsageError):
+        dk.tune_lp_bandwidth(dk.make_ma(11), -20.0, 1e-310)
+
+
+_HP_2SR = [dk.to_baseband(dk.make_dc_reject_passband(0.9375), _C733), dk.make_2sr(_C733)]
+_MA11_FLOOR_DB = 10 * math.log10(1 / 11)
+
+
+@pytest.mark.parametrize(
+    "stages, target_db, period",
+    [
+        ([dk.make_2sr(_C733)], -15.2, 1.0),
+        ([dk.make_ma(11)], -15.2, 1.0),
+        ([dk.make_2sr(_C733)], -20.0, 1.0),
+        ([dk.make_2sr(dk.CarrierConfig(4, 17))], -20.0, 1.0),
+        (_HP_2SR, -20.0, 1 / 94.29e6),
+        ([dk.make_ma(11)], _MA11_FLOOR_DB - 1e-3, 1.0),
+        ([dk.make_ma(11)], 10 * math.log10(0.5e-7), 1.0),
+    ],
+    ids=["ac2-2sr", "ac2-ma11", "ac3-7-33", "ac3-4-17", "hp+2sr", "ma11-near-floor",
+         "bw-1e-7"],
+)
+def test_tune_meets_its_stated_precision_against_50_digits(stages, target_db, period):
+    bandwidth = dk.tune_lp_bandwidth(stages, target_db, period)
+    lowpass = dk.make_lp(bandwidth, period)
+    reference = float(_mp_energy(*_taps_and_poles(stages + [lowpass])))
+    bound = max(1e-12, 2.0**-52 / (1.0 - lowpass.pole.real))
+    # The stated bound, plus the norm's own error.
+    assert abs(reference / 10 ** (target_db / 10) - 1) <= bound + 1e-13
+
+
+@pytest.mark.parametrize(
+    "stages, target_db",
+    [
+        ([dk.make_2sr(_C733)], -15.2),
+        ([dk.make_ma(14)], -40.0),
+        (_HP_2SR, -20.0),
+        ([dk.make_ma(11)], _MA11_FLOOR_DB - 1e-3),
+    ],
+    ids=["2sr", "ma14", "hp+2sr", "ma11-near-floor"],
+)
+def test_tune_takes_at_most_16_norm_evaluations(monkeypatch, stages, target_db):
+    calls = []
+    energy = dk.analysis._energy
+
+    def counted(*args):
+        calls.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(dk.analysis, "_energy", counted)
+    dk.tune_lp_bandwidth(stages, target_db, 1.0)
+    assert len(calls) <= 16
+
+
 @pytest.mark.parametrize(
     "ddc",
     [
@@ -422,6 +544,16 @@ def test_phase_metrics_rejects_response_zero():
 def test_phase_metrics_rejects_bad_frequency_or_period(omega, sample_period):
     with pytest.raises(dk.UsageError):
         dk.phase_metrics(dk.make_ma(11), omega, sample_period)
+
+
+@pytest.mark.parametrize("theta", [math.pi + 1e-9, 10.0])
+def test_phase_metrics_refuses_frequencies_beyond_nyquist(theta):
+    h = 1e-8
+    for omega in (theta / h, -theta / h):
+        with pytest.raises(dk.UsageError, match="Nyquist"):
+            dk.phase_metrics(dk.make_ma(11), omega, h)
+    # Nyquist itself is on every regular grid, and accepted.
+    dk.phase_metrics(dk.make_ma(11), math.pi, 1.0)
 
 
 def test_group_delay_of_narrow_lowpass_is_exact_at_dc():

@@ -1,6 +1,7 @@
 """Real coefficients in real arithmetic: the float64 paths of the filter
-kernel against a literal complex composition, bit for bit, and the lazy
-import of scipy.signal that only a pole needs."""
+kernel against a literal complex composition, bit for bit, the lazy
+import of scipy.signal that only a pole needs, and the first design queries,
+which import nothing beyond the package."""
 
 import os
 import subprocess
@@ -248,12 +249,49 @@ check(True, "a run with a pole")
 """
 
 
-def test_scipy_signal_is_imported_only_when_a_pole_runs():
-    # The child imports the same ddckit as this process.
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the same ddckit as
+    this process."""
     src = str(Path(dk.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-c", _POLE_FREE], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
+
+
+def test_scipy_signal_is_imported_only_when_a_pole_runs():
+    done = _run_child(_POLE_FREE)
+    assert done.returncode == 0, done.stderr
+
+
+_NO_FIRST_CALL_IMPORTS = """
+import sys
+import numpy as np
+import ddckit as dk
+import ddckit.cli
+
+before = set(sys.modules)
+carrier = dk.CarrierConfig(7, 33)
+stages = dk.parse_filter_spec("hp:0.9375+2sr+lp:0.01", carrier)
+dk.h2_norm_sq(stages)
+dk.multirate_norm_sq(dk.make_ma(33), dk.make_lp(0.1, 1.0), 33)
+dk.tune_lp_bandwidth(stages[:2], -20.0, 1.0)
+dk.phase_metrics(stages, 0.5, 1.0)
+dk.freq_response(stages, dk.FreqGrid.regular(64))
+ess = dk.get_preset("ess")
+envelope = dk.parse_filter_spec(ess.filter_spec, ess.carrier)[0]
+chain = dk.make_chain(ess.carrier, envelope, decimation=ess.decimation)
+dk.run(chain, dk.RealSeq(np.ones(700)))
+added = sorted(
+    name for name in set(sys.modules) - before
+    if name != "ddckit" and not name.startswith("ddckit.")
+)
+if added:
+    sys.exit(f"loaded outside ddckit: {added}")
+"""
+
+
+def test_design_queries_and_a_fir_run_import_nothing_after_the_cli():
+    done = _run_child(_NO_FIRST_CALL_IMPORTS)
     assert done.returncode == 0, done.stderr
