@@ -12,6 +12,7 @@ poles.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,6 +37,19 @@ FilterOrCascade = Union[ComplexFilter, Sequence[ComplexFilter]]
 # The bracket of bandwidth*period that tune_lp_bandwidth searches.
 _X_LO, _X_HI = 1e-9, 50.0
 _ULP_OF_ONE = 2.0**-52
+# The regular grids FreqGrid.regular keeps, newest last, and the most points
+# a kept grid may have.
+_REGULAR_GRIDS: dict[tuple, "FreqGrid"] = {}
+_REGULAR_GRIDS_KEPT = 8
+_REGULAR_POINTS_KEPT = 1 << 16
+# A stage whose response at the evaluation frequency is at most this share
+# of its tap magnitude sum sits on a zero, for phase_metrics.
+_ZERO_SHARE = 1e-9
+_TINY = 2.0**-1022  # the smallest normal float
+# exp(-1j*theta) at theta = 0.0, as numpy computes it.
+_DC = complex(1.0, -0.0)
+_DC_PHASOR = np.array([_DC])
+_DC_PHASOR.setflags(write=False)
 
 
 def _check_grid_rate(sample_rate) -> None:
@@ -67,11 +81,28 @@ class FreqGrid:
 
         The grid takes the array it builds as its own: it is finite, strictly
         increasing and inside (-pi, pi] by construction, so it is neither
-        copied nor checked again.
+        copied nor checked again.  Grids of up to 65536 points are shared:
+        the last eight distinct ``(points, sample_rate)`` requests each keep
+        one immutable grid, whose read-only thetas and phasors every later
+        request of the same pair returns.  The arguments are checked before
+        the lookup.
         """
         if not _is_int(points) or points < 1:
             raise UsageError("grid needs a positive integer number of points")
         _check_grid_rate(sample_rate)
+        key = (cls, int(points), type(sample_rate), sample_rate)
+        grid = _REGULAR_GRIDS.pop(key, None)
+        if grid is None:
+            grid = cls._build_regular(points, sample_rate)
+            if points > _REGULAR_POINTS_KEPT:
+                return grid
+            if len(_REGULAR_GRIDS) >= _REGULAR_GRIDS_KEPT:
+                del _REGULAR_GRIDS[next(iter(_REGULAR_GRIDS))]
+        _REGULAR_GRIDS[key] = grid
+        return grid
+
+    @classmethod
+    def _build_regular(cls, points: int, sample_rate: float | None) -> "FreqGrid":
         step = 2.0 * math.pi / points
         thetas = -math.pi + step * np.arange(1, points + 1)
         # step * points rounds above 2*pi for some counts (25 is the first),
@@ -82,6 +113,13 @@ class FreqGrid:
         object.__setattr__(grid, "thetas", thetas)
         object.__setattr__(grid, "sample_rate", sample_rate)
         return grid
+
+    @functools.cached_property
+    def _phasors(self) -> np.ndarray:
+        """``exp(-1j*thetas)``, read-only, computed on first use."""
+        w = np.exp(-1j * self.thetas)
+        w.setflags(write=False)
+        return w
 
     @property
     def freq_hz(self) -> np.ndarray | None:
@@ -146,20 +184,43 @@ def freq_response(obj: FilterOrCascade, grid) -> np.ndarray:
     information; grids here always span both sides.
     """
     if isinstance(grid, FreqGrid):
-        thetas = grid.thetas
+        w = grid._phasors
     else:
-        thetas = _validated_samples(grid, np.float64, "frequencies")
-    return _response(_as_stages(obj), thetas)
+        w = np.exp(-1j * _validated_samples(grid, np.float64, "frequencies"))
+    return _response(_as_stages(obj), w)
 
 
-def _response(stages: list[ComplexFilter], thetas: np.ndarray) -> np.ndarray:
-    """The array kernel of :func:`freq_response`, for frequencies already
-    validated: each stage's response kernel at phasors computed once for the
-    cascade, not its validating method."""
-    w = np.exp(-1j * thetas)
-    resp = np.ones_like(thetas, dtype=np.complex128)
+def _response(stages: list[ComplexFilter], w: np.ndarray) -> np.ndarray:
+    """The array kernel of :func:`freq_response`, at the phasors
+    ``w = exp(-1j*theta)`` of frequencies already validated: each stage's
+    response kernel at phasors computed once for the cascade (or kept by its
+    :class:`FreqGrid`), not its validating method."""
+    resp = np.ones_like(w)
     for stage in stages:
         resp = resp * stage._response_at(w)
+    return resp
+
+
+def _dc_response(stages: list[ComplexFilter]) -> np.ndarray:
+    """``_response(stages, _DC_PHASOR)``, bitwise, without two numpy calls
+    per tap.
+
+    At zero frequency the phasor is ``1 - 0j``, so every product in the
+    numerator's Horner rule is exact and only its signed zeros depend on the
+    arithmetic; Python's complex product and sum give the same ones as
+    numpy's, so each numerator is summed in Python.  The pole divisions and
+    the cascade product round, and stay numpy's.
+    """
+    resp = np.ones(1, dtype=np.complex128)
+    for stage in stages:
+        taps = stage.taps.tolist()
+        num = complex(0.0, 0.0) + taps[-1]
+        for tap in reversed(taps[:-1]):
+            num = num * _DC + tap
+        h = np.array([num])
+        if stage.pole is not None:
+            h = h / (1.0 - stage.pole * _DC_PHASOR)
+        resp = resp * h
     return resp
 
 
@@ -230,7 +291,10 @@ def h2_norm_sq(obj: FilterOrCascade) -> NormReport:
     relative in the tests.
     """
     taps, poles = _materialize(_as_stages(obj))
-    value = _energy(taps, poles, [1.0 - p for p in poles], 1)
+    if poles:
+        value = _energy(taps, poles, [1.0 - p for p in poles], 1)
+    else:  # _energy's sum, without its zero-padded copy
+        value = float(np.vdot(taps, taps).real)
     return NormReport(value, "closed-form")
 
 
@@ -278,20 +342,28 @@ def tune_lp_bandwidth(
 
     The impulse energy of ``ddc_filter * lowpass`` is strictly increasing in
     the bandwidth, so bandwidth*period over [1e-9, 50] brackets any
-    achievable target.  Brent's method (Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4: inverse quadratic and secant steps,
-    with bisection whenever they do not shrink the bracket fast enough)
-    solves log gain = log target over the log of the low-pass tap ``1 - a``,
-    which is log bandwidth*period for a narrow low-pass.  The fixed stages
-    are collapsed once; each evaluation is one exact norm, bitwise
-    ``h2_norm_sq(stages + [make_lp(bandwidth, sample_period)])``.
+    achievable target.  The fixed stages are collapsed once; each evaluation
+    is one exact norm, bitwise ``h2_norm_sq(stages + [make_lp(bandwidth,
+    sample_period)])``.
+
+    A pole-free cascade's gain has a closed form in the low-pass pole (see
+    :func:`_fir_lp_x`), so its bandwidth is solved from that form and
+    confirmed by one exact norm.  Where that norm misses the stated
+    precision (a cascade whose closed form cancels, such as one with a DC
+    null), and for any cascade with poles, Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4: inverse
+    quadratic and secant steps, with bisection whenever they do not shrink
+    the bracket fast enough) solves log gain = log target over the log of
+    the low-pass tap ``1 - a``, which is log bandwidth*period for a narrow
+    low-pass.
 
     The result misses the target by at most ``max(1e-12, 2**-52 / (1 - a))``
     relative, with ``a`` the low-pass pole, plus the norm's own ~1e-15.  The
     second term is the gain step that one ulp of the pole makes: below
     bandwidth*period ~ 1e-5 the gain is a staircase in the bandwidth that
-    1e-12 cannot resolve.  Over random cascades and targets a search takes 6
-    norm evaluations in the median and at most 16.
+    1e-12 cannot resolve.  A pole-free cascade takes one norm evaluation;
+    over random cascades with poles and targets a search takes 6 in the
+    median and at most 16.
     """
     if not _is_number(target_db, numbers.Real):
         raise UsageError("target must be a finite real number of dB")
@@ -316,14 +388,19 @@ def tune_lp_bandwidth(
         value = _energy(lp_taps, poles + [pole], gaps + [1.0 - pole], 1)
         return value, max(1e-12, _ULP_OF_ONE / (1.0 - a))
 
+    if not poles:
+        x = _fir_lp_x(taps, target)
+        if x is not None:
+            value, miss = gain(x)
+            if abs(value - target) <= miss * target:
+                return x / sample_period
+
     lo, _ = gain(_X_LO)
     hi, _ = gain(_X_HI)
     if not (lo < target < hi):
-        lo_db = 10.0 * math.log10(lo)
-        hi_db = 10.0 * math.log10(hi)
         raise DomainError(
             f"target {target_db:.4g} dB is outside the achievable range "
-            f"({lo_db:.4g} dB, {hi_db:.4g} dB) for this filter"
+            f"({_db(lo):.4g} dB, {_db(hi):.4g} dB) for this filter"
         )
     # Brent's method over v = log(1 - a), the log of the low-pass tap: it is
     # log(bandwidth*period) to first order for a narrow low-pass, where the
@@ -342,6 +419,69 @@ def tune_lp_bandwidth(
         (math.log(-math.expm1(-_X_HI)), math.log(hi) - log_target),
     )
     return _lp_x(v) / sample_period
+
+
+def _db(value: float) -> float:
+    """``value`` in dB, -inf for zero, as :attr:`NormReport.value_db`."""
+    return 10.0 * math.log10(value) if value > 0 else -math.inf
+
+
+def _fir_lp_x(taps: np.ndarray, target: float) -> float | None:
+    """Bandwidth*period at which the FIR numerator ``taps`` over a
+    first-order low-pass has impulse energy ``target``, from that energy's
+    closed form; None where the form places no root inside the bracket.
+
+    With ``r_l = sum_n b_{n+l} conj(b_n)`` and the low-pass pole ``a``, the
+    energy is ``q P(a)``, where ``q = (1 - a)/(1 + a) = tanh(x/2)`` and
+    ``P(a) = r_0 + 2 Re sum_{l>=1} r_l a^l``.  Newton's method solves
+    ``log q + log P(a) = log target`` over ``log q``.  Its slope,
+    ``1 + d log P / d log q``, is positive and stays near one at both ends,
+    since ``P`` tends to ``r_0`` for a wide low-pass and to ``|B(1)|^2`` for
+    a narrow one.  A step that leaves the bracket bisects it instead.  The
+    caller confirms the root with one exact norm: where ``P`` cancels, the
+    form can miss it.
+    """
+    r = np.correlate(taps, taps, "full")[len(taps) - 1 :].real
+    r0 = float(r[0])
+    if not 0.0 < target < r0 < math.inf:
+        return None
+    # P's coefficients, highest power first, for Horner's rule.
+    coefs = (2.0 * r[:0:-1]).tolist() + [r0]
+    log_target = math.log(target)
+    lo, hi = math.log(math.tanh(0.5 * _X_LO)), 0.0
+    # P(a) = r_0 is exact for the widest low-pass.
+    w = max(lo, log_target - math.log(r0))
+    for _ in range(100):
+        q = math.exp(w)
+        a = (1.0 - q) / (1.0 + q)
+        p = dp = 0.0
+        for c in coefs:
+            dp = dp * a + p
+            p = p * a + c
+        if not 0.0 < p < math.inf:
+            return None
+        f = w + math.log(p) - log_target
+        if f == 0.0:
+            break
+        if f > 0.0:
+            hi = w
+        else:
+            lo = w
+        slope = 1.0 - (dp / p) * 2.0 * q / (1.0 + q) ** 2
+        # A slope that rounding made non-positive gives a nan step: bisect.
+        step = -f / slope if slope > 0.0 else math.nan
+        if abs(step) <= 1e-9:
+            # Newton's error after this step is of order step**2.
+            w += step
+            break
+        w = w + step if lo < w + step < hi else 0.5 * (lo + hi)
+    else:
+        return None
+    q = math.exp(w)
+    if q >= 1.0:
+        return None
+    x = 2.0 * math.atanh(q)
+    return x if _X_LO <= x <= _X_HI else None
 
 
 def _lp_x(v: float) -> float:
@@ -416,7 +556,12 @@ def phase_metrics(
     contributes ``Re(sum_m m b_m w^m / sum_m b_m w^m)`` for its taps and
     ``Re(p w / (1 - p w))`` for its pole.  The evaluation frequency must not
     sit on a response zero, nor beyond the Nyquist frequency:
-    ``|omega*sample_period| <= pi``.
+    ``|omega*sample_period| <= pi``.  A stage sits on a zero where its
+    response is at most 1e-9 of the sum of its tap magnitudes, so scaling a
+    stage changes neither the answer nor whether there is one.  At zero
+    frequency (``omega`` 0.0 or -0.0) the unwrapping path is nine points at
+    zero frequency, so the phase is the angle of the response at one point,
+    plus 0.0 as the unwrap adds it.
     """
     if not _is_number(omega, numbers.Real):
         raise UsageError("frequency must be a finite real number")
@@ -430,13 +575,14 @@ def phase_metrics(
             f"frequency {omega!r} rad/s is beyond the Nyquist frequency "
             "pi/sample_period"
         )
-    steps = max(8, int(math.ceil(abs(theta) / 0.01)))
-    # The path from zero frequency ends exactly at theta.
-    path = np.linspace(0.0, theta, steps + 1)
-    resp = _response(stages, path)
-    if abs(resp[-1]) <= 1e-9:
-        raise DomainError("phase is undefined at a response zero")
-    phase = float(np.unwrap(np.angle(resp))[-1])
+    if theta == 0.0:
+        phase = float(np.angle(_dc_response(stages)[0])) + 0.0
+    else:
+        steps = max(8, int(math.ceil(abs(theta) / 0.01)))
+        # The path from zero frequency ends exactly at theta.
+        path = np.linspace(0.0, theta, steps + 1)
+        resp = _response(stages, np.exp(-1j * path))
+        phase = float(np.unwrap(np.angle(resp))[-1])
 
     w = complex(math.cos(theta), -math.sin(theta))
     # 1 - w, without cancellation near zero frequency.
@@ -445,10 +591,19 @@ def phase_metrics(
     for stage in stages:
         m = np.arange(len(stage.taps))
         terms = stage.taps * w**m
-        delay_samples += (np.dot(m, terms) / np.sum(terms)).real
+        num = terms.sum()
+        gain = abs(num)
         if stage.pole is not None:
             p = stage.pole
-            delay_samples += (p * w / ((1.0 - p) + p * one_minus_w)).real
+            den = (1.0 - p) + p * one_minus_w
+            gain /= abs(den)
+        scale = sum(map(abs, stage.taps.tolist()))
+        # Below the normal range, numpy's complex division overflows.
+        if gain <= _ZERO_SHARE * scale or abs(num) < _TINY:
+            raise DomainError("phase is undefined at a response zero")
+        delay_samples += (np.dot(m, terms) / num).real
+        if stage.pole is not None:
+            delay_samples += (p * w / den).real
     return PhaseMetrics(phase=phase, group_delay=delay_samples * sample_period)
 
 

@@ -1,11 +1,12 @@
 """Frequency responses, H2 norms (incl. multirate), tuning, phase metrics."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -76,6 +77,39 @@ def test_regular_grid_ends_at_pi_where_the_step_rounds_up():
 def test_regular_grid_refuses_bad_arguments(points, sample_rate):
     with pytest.raises(dk.UsageError):
         dk.FreqGrid.regular(points, sample_rate)
+
+
+def test_regular_grid_is_shared_and_stays_read_only():
+    grid = dk.FreqGrid.regular(64, 1e6)
+    assert dk.FreqGrid.regular(64, 1e6) is grid
+    assert dk.FreqGrid.regular(64) is not grid
+    # A rate of another type is another grid, which keeps the type it got.
+    assert type(dk.FreqGrid.regular(64, 1000000).sample_rate) is int
+    dk.freq_response(dk.make_ma(3), grid)
+    for values in (grid.thetas, grid._phasors):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.thetas = np.zeros(64)
+
+
+def test_regular_grid_checks_its_arguments_before_the_lookup():
+    dk.FreqGrid.regular(1, 1)
+    for points, sample_rate in [(True, 1), (1, True), (1.0, 1)]:
+        with pytest.raises(dk.UsageError):
+            dk.FreqGrid.regular(points, sample_rate)
+
+
+def test_regular_grids_kept_are_bounded():
+    kept = dk.analysis._REGULAR_GRIDS
+    grids = [dk.FreqGrid.regular(points) for points in range(1, 41)]
+    assert len(kept) == dk.analysis._REGULAR_GRIDS_KEPT
+    # The latest requests are the ones kept.
+    assert dk.FreqGrid.regular(40) is grids[-1]
+    assert dk.FreqGrid.regular(1) is not grids[0]
+    large = dk.analysis._REGULAR_POINTS_KEPT + 1
+    assert dk.FreqGrid.regular(large) is not dk.FreqGrid.regular(large)
+    assert len(kept) == dk.analysis._REGULAR_GRIDS_KEPT
 
 
 # ----------------------------------------------------------- freq_response
@@ -159,6 +193,19 @@ def test_freq_response_is_bitwise_the_polyval_composition(stages, thetas):
         assert got.tobytes() == np.asarray(_polyval_stage(stage, np.asarray(theta))).tobytes()
 
 
+@given(
+    stages=st.lists(_any_stage, min_size=1, max_size=3),
+    points=st.integers(1, 300) | st.sampled_from([4096]),
+)
+@settings(max_examples=100, deadline=None)
+def test_freq_response_on_a_regular_grid_is_bitwise_on_its_thetas(stages, points):
+    grid = dk.FreqGrid.regular(points)
+    expected = dk.freq_response(stages, grid.thetas).tobytes()
+    # The second call reads the phasors the grid kept from the first.
+    assert dk.freq_response(stages, grid).tobytes() == expected
+    assert dk.freq_response(stages, dk.FreqGrid.regular(points)).tobytes() == expected
+
+
 # -------------------------------------------------------------- h2_norm_sq
 
 def test_norm_of_moving_averages_match_published_rejections():
@@ -190,6 +237,26 @@ def test_norm_two_poles_is_closed_form():
     report = dk.h2_norm_sq(stages)
     assert report.method == "closed-form"
     assert report.value == pytest.approx(_brute_energy(stages), rel=1e-12)
+
+
+@given(
+    stages=st.lists(
+        st.builds(
+            lambda taps, scale: dk.ComplexFilter(np.array(taps, dtype=complex) * scale),
+            st.lists(st.builds(complex, _part, _part), min_size=1, max_size=40),
+            st.sampled_from([1.0, 1e-100, 1e30]),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=150, deadline=None)
+@example(stages=[dk.make_ma(4097)])
+@example(stages=[dk.make_2sr(dk.CarrierConfig(7, 33)), dk.make_ma(1000)])
+def test_fir_norm_is_bitwise_the_exact_energy(stages):
+    taps, _ = dk.analysis._materialize(stages)
+    expected = np.float64(dk.analysis._energy(taps, [], [], 1))
+    assert np.float64(dk.h2_norm_sq(stages).value).tobytes() == expected.tobytes()
 
 
 def test_norm_report_db():
@@ -471,6 +538,12 @@ def test_tune_meets_its_stated_precision_against_50_digits(stages, target_db, pe
     ids=["2sr", "ma14", "hp+2sr", "ma11-near-floor"],
 )
 def test_tune_takes_at_most_16_norm_evaluations(monkeypatch, stages, target_db):
+    calls = _count_energy_calls(monkeypatch)
+    dk.tune_lp_bandwidth(stages, target_db, 1.0)
+    assert len(calls) <= 16
+
+
+def _count_energy_calls(monkeypatch):
     calls = []
     energy = dk.analysis._energy
 
@@ -479,8 +552,72 @@ def test_tune_takes_at_most_16_norm_evaluations(monkeypatch, stages, target_db):
         return energy(*args)
 
     monkeypatch.setattr(dk.analysis, "_energy", counted)
-    dk.tune_lp_bandwidth(stages, target_db, 1.0)
-    assert len(calls) <= 16
+    return calls
+
+
+@pytest.mark.parametrize(
+    "stages, target_db",
+    [
+        ([dk.make_2sr(_C733)], -15.2),
+        ([dk.make_ma(14)], -40.0),
+        ([dk.make_ma(33)], -20.0),
+        ([dk.make_2sr(_C733), dk.make_dcr(_C733)], -15.0),
+        ([dk.make_ma(11)], _MA11_FLOOR_DB - 1e-3),
+    ],
+    ids=["2sr", "ma14", "ma33", "2sr+dcr", "ma11-near-floor"],
+)
+def test_fir_tune_takes_one_norm_evaluation(monkeypatch, stages, target_db):
+    calls = _count_energy_calls(monkeypatch)
+    bandwidth = dk.tune_lp_bandwidth(stages, target_db, 1.0)
+    assert len(calls) == 1
+    lowpass = dk.make_lp(bandwidth, 1.0)
+    bound = max(1e-12, 2.0**-52 / (1.0 - lowpass.pole.real))
+    achieved = dk.h2_norm_sq(stages + [lowpass]).value
+    assert abs(achieved / 10 ** (target_db / 10) - 1) <= bound
+
+
+_fir_stage = st.builds(
+    lambda taps: dk.ComplexFilter(np.array(taps, dtype=complex)),
+    st.lists(
+        st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+        | st.builds(complex, st.floats(-4.0, 4.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@given(
+    stages=st.lists(_fir_stage, min_size=1, max_size=3),
+    share=st.floats(0.01, 0.99),
+    period=st.sampled_from([1.0, 1 / 94.29e6]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fir_tune_meets_its_stated_precision_against_50_digits(stages, share, period):
+    taps, _ = _taps_and_poles(stages)
+    top = float(np.vdot(taps, taps).real)
+    assume(top > 1e-200)
+    bottom = dk.h2_norm_sq(stages + [dk.make_lp(1e-9, 1.0)]).value
+    assume(bottom > 0.0)
+    # A target at a share of the achievable range in dB.
+    target_db = 10 * math.log10(bottom) + share * 10 * math.log10(top / bottom)
+    bandwidth = dk.tune_lp_bandwidth(stages, target_db, period)
+    lowpass = dk.make_lp(bandwidth, period)
+    reference = float(_mp_energy(*_taps_and_poles(stages + [lowpass])))
+    bound = max(1e-12, 2.0**-52 / (1.0 - lowpass.pole.real))
+    assert abs(reference / 10 ** (target_db / 10) - 1) <= bound + 1e-13
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [np.zeros(1), np.zeros(3), np.full(3, 1e-170)],
+    ids=["zero", "zeros", "1e-170"],
+)
+def test_tune_of_a_zero_gain_filter_raises_domain_error(taps):
+    # The gain is 0.0 at both ends of the bracket: -inf dB, not log10(0).
+    assert dk.analysis._fir_lp_x(taps.astype(complex), 0.01) is None
+    with pytest.raises(dk.DomainError, match=r"\(-inf dB, -inf dB\)"):
+        dk.tune_lp_bandwidth(dk.ComplexFilter(taps), -20.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -554,6 +691,86 @@ def test_phase_metrics_refuses_frequencies_beyond_nyquist(theta):
             dk.phase_metrics(dk.make_ma(11), omega, h)
     # Nyquist itself is on every regular grid, and accepted.
     dk.phase_metrics(dk.make_ma(11), math.pi, 1.0)
+
+
+@given(
+    stages=st.lists(_any_stage, min_size=1, max_size=3),
+    omega=st.sampled_from([0.0, -0.0]),
+)
+@settings(max_examples=300, deadline=None)
+@example(stages=[dk.ComplexFilter([-1.0 + 0.0j])], omega=-0.0)
+@example(stages=[dk.ComplexFilter([-1.0 - 0.0j], pole=-0.0)], omega=-0.0)
+@example(
+    stages=[dk.ComplexFilter([-0.0 - 1.0j]), dk.ComplexFilter([-1.0], 0.5)], omega=0.0
+)
+def test_phase_at_dc_is_bitwise_the_unwrapped_path(stages, omega):
+    try:
+        phase = dk.phase_metrics(stages, omega, 1.0).phase
+    except dk.DomainError:
+        assume(False)
+    path = np.linspace(0.0, omega, 9)
+    resp = np.ones(9, dtype=complex)
+    for stage in stages:
+        resp = resp * _polyval_stage(stage, path)
+    expected = np.unwrap(np.angle(resp))[-1]
+    assert np.float64(phase).tobytes() == np.float64(expected).tobytes()
+
+
+@given(stages=st.lists(_any_stage, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+@example(stages=[dk.make_ma(33), dk.make_lp(0.01, 1.0)])
+@example(stages=[dk.ComplexFilter([-0.0 - 0.0j, 0.0, -1.0 - 0.0j], pole=-0.0)])
+def test_dc_response_is_bitwise_the_array_kernel(stages):
+    phasor = np.exp(-1j * np.zeros(1))
+    assert phasor.tobytes() == dk.analysis._DC_PHASOR.tobytes()
+    expected = dk.analysis._response(stages, phasor)
+    assert dk.analysis._dc_response(stages).tobytes() == expected.tobytes()
+
+
+# Parts and frequencies far enough from the float range's floor that every
+# product and sum scales by 2**-40 exactly.
+_normal_part = st.floats(-4.0, 4.0).filter(lambda x: abs(x) >= 1e-3) | st.sampled_from(
+    [0.0, -0.0]
+)
+_normal_pole_part = _normal_part.map(lambda x: x / 6)  # |pole| < 1
+_normal_stage = st.builds(
+    lambda taps, pole: dk.ComplexFilter(np.array(taps, dtype=complex), pole),
+    st.lists(st.builds(complex, _normal_part, _normal_part), min_size=1, max_size=8),
+    st.none() | st.builds(complex, _normal_pole_part, _normal_pole_part),
+)
+
+
+@given(
+    stages=st.lists(_normal_stage, min_size=1, max_size=3),
+    theta=st.floats(-math.pi, math.pi).filter(lambda x: abs(x) >= 1e-6)
+    | st.sampled_from([0.0, -0.0]),
+    index=st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_phase_and_delay_do_not_depend_on_scale(stages, theta, index):
+    stage = stages[index % len(stages)]
+    scaled = list(stages)
+    scaled[index % len(stages)] = dk.ComplexFilter(stage.taps * 2.0**-40, stage.pole)
+    try:
+        expected = dk.phase_metrics(stages, theta, 1.0)
+    except dk.DomainError:
+        with pytest.raises(dk.DomainError):
+            dk.phase_metrics(scaled, theta, 1.0)
+        return
+    got = dk.phase_metrics(scaled, theta, 1.0)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_a_small_gain_is_not_a_response_zero():
+    assert dk.phase_metrics(dk.ComplexFilter([1e-10]), 0.0, 1.0) == (0.0, 0.0)
+    carrier = dk.CarrierConfig(7, 33)
+    envelope = dk.make_2sr(carrier)
+    small = dk.ComplexFilter(envelope.taps * 1e-10)
+    delays = [
+        dk.group_delay_seconds(dk.make_chain(carrier, f, lp_bandwidth=1e5))
+        for f in (envelope, small)
+    ]
+    assert delays[1] == pytest.approx(delays[0], rel=1e-12)
 
 
 def test_group_delay_of_narrow_lowpass_is_exact_at_dc():

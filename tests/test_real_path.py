@@ -277,18 +277,25 @@ stages = dk.parse_filter_spec("hp:0.9375+2sr+lp:0.01", carrier)
 dk.h2_norm_sq(stages)
 dk.multirate_norm_sq(dk.make_ma(33), dk.make_lp(0.1, 1.0), 33)
 dk.tune_lp_bandwidth(stages[:2], -20.0, 1.0)
+dk.tune_lp_bandwidth(dk.make_ma(33), -20.0, 1.0)
 dk.phase_metrics(stages, 0.5, 1.0)
+dk.phase_metrics(stages, 0.0, 1.0)
 dk.freq_response(stages, dk.FreqGrid.regular(64))
+dk.freq_response(stages[1:], dk.FreqGrid.regular(64))
 ess = dk.get_preset("ess")
 envelope = dk.parse_filter_spec(ess.filter_spec, ess.carrier)[0]
 chain = dk.make_chain(ess.carrier, envelope, decimation=ess.decimation)
 dk.run(chain, dk.RealSeq(np.ones(700)))
+dk.group_delay_seconds(chain)
 added = sorted(
     name for name in set(sys.modules) - before
     if name != "ddckit" and not name.startswith("ddckit.")
 )
 if added:
     sys.exit(f"loaded outside ddckit: {added}")
+loaded = [name for name in ("numpy.fft", "numpy.polynomial") if name in sys.modules]
+if loaded:
+    sys.exit(f"loaded at all: {loaded}")
 """
 
 
