@@ -21,9 +21,16 @@ package builds is validated again.  Code inside the package that computes a
 new array from validated samples, or from noise it draws itself, runs
 private array kernels and wraps only the result it returns; ``run``'s wrap
 takes that array as its own, without a copy, and a non-finite value in it,
-an overflow, is a :class:`DomainError`.  The filter kernel can compute an FIR
-at the kept samples of a decimator alone (polyphase decimation), in the same
-tap order, so the kept outputs are bitwise those of the full computation.
+an overflow, is a :class:`DomainError`.  Filters are built the same way: the
+constructors of :mod:`ddckit.filters` hand the taps they compute to
+``ComplexFilter._owning``, which keeps them without a copy, checks only that
+they are finite and the pole stable, and leaves the full validation to
+filters built from outside.  Objects that hold arrays (sequences, filters,
+frequency grids, sampled envelopes) compare and hash by identity, since an
+element-wise comparison has no single truth value.  The filter kernel can
+compute an FIR at the kept samples of a decimator alone (polyphase
+decimation), in the same tap order, so the kept outputs are bitwise those of
+the full computation.
 """
 
 from __future__ import annotations
@@ -200,7 +207,7 @@ def _check_start(start, what: str) -> None:
         raise UsageError(f"{what} start must be an integer, not {start!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealSeq:
     """Real-valued sample sequence with an absolute start index.
 
@@ -226,7 +233,7 @@ class RealSeq:
         return self.start + len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSeq:
     """Complex-valued sample sequence with an absolute start index."""
 
@@ -264,7 +271,15 @@ class Domain(Enum):
     BASEBAND = "baseband"
 
 
-@dataclass(frozen=True)
+def _stable_pole(pole) -> complex:
+    """``pole``, a finite number, as a ``complex`` inside the unit circle."""
+    pole = complex(pole)
+    if abs(pole) >= 1.0:
+        raise UsageError(f"pole magnitude {abs(pole):.6g} >= 1 (unstable)")
+    return pole
+
+
+@dataclass(frozen=True, eq=False)
 class ComplexFilter:
     """Causal filter with complex coefficients: an FIR tap vector over an
     optional single stable pole.
@@ -295,10 +310,29 @@ class ComplexFilter:
         if self.pole is not None:
             if not _is_number(self.pole, numbers.Complex):
                 raise UsageError(f"pole must be a finite number, not {self.pole!r}")
-            pole = complex(self.pole)
-            if abs(pole) >= 1.0:
-                raise UsageError(f"pole magnitude {abs(pole):.6g} >= 1 (unstable)")
-            object.__setattr__(self, "pole", pole)
+            object.__setattr__(self, "pole", _stable_pole(self.pole))
+
+    @classmethod
+    def _owning(
+        cls, taps: np.ndarray, pole=None, domain: Domain = Domain.BASEBAND
+    ) -> ComplexFilter:
+        """A filter that takes ``taps``, a non-empty 1-D ``complex128`` array
+        the package has just computed, as its own: read-only and without a
+        copy, like :meth:`ComplexSeq._owning`.
+
+        The pole, a finite number the package computed, is converted and
+        checked for stability as the constructor does.  A non-finite tap is
+        a result beyond the float range, a :class:`DomainError`.
+        """
+        # count_nonzero reads a small boolean array faster than all().
+        if np.count_nonzero(np.isfinite(taps)) != len(taps):
+            raise DomainError("filter taps left the float range")
+        taps.setflags(write=False)
+        filt = object.__new__(cls)
+        object.__setattr__(filt, "taps", taps)
+        object.__setattr__(filt, "pole", None if pole is None else _stable_pole(pole))
+        object.__setattr__(filt, "domain", domain)
+        return filt
 
     @functools.cached_property
     def _real(self) -> bool:

@@ -74,7 +74,7 @@ def make_ma(length: int) -> ComplexFilter:
     """
     if not _is_int(length) or length < 1:
         raise UsageError("moving-average length must be a positive integer")
-    return ComplexFilter(np.full(length, 1.0 / length), domain=Domain.BASEBAND)
+    return ComplexFilter._owning(np.full(length, 1.0 / length, dtype=np.complex128))
 
 
 def make_2sr(carrier: CarrierConfig, keep_phase_factor: bool = True) -> ComplexFilter:
@@ -92,8 +92,8 @@ def make_2sr(carrier: CarrierConfig, keep_phase_factor: bool = True) -> ComplexF
         b0 = cmath.exp(1j * step) / (2j * s)
     else:
         b0 = 1.0 / (2.0 * s)
-    taps = np.array([b0, -cmath.exp(-2j * step) * b0])
-    return ComplexFilter(taps, domain=Domain.BASEBAND)
+    taps = np.array([b0, -cmath.exp(-2j * step) * b0], dtype=np.complex128)
+    return ComplexFilter._owning(taps)
 
 
 def make_dcr(carrier: CarrierConfig) -> ComplexFilter:
@@ -106,8 +106,8 @@ def make_dcr(carrier: CarrierConfig) -> ComplexFilter:
     _check_reconstruction_ratio(carrier, "DC-spur rejection")
     step = carrier.phase_step
     c = 1.0 / (1.0 - cmath.exp(-2j * step))
-    taps = np.array([c, 0.0, -cmath.exp(-2j * step) * c])
-    return ComplexFilter(taps, domain=Domain.BASEBAND)
+    taps = np.array([c, 0.0, -cmath.exp(-2j * step) * c], dtype=np.complex128)
+    return ComplexFilter._owning(taps)
 
 
 def make_iq(carrier: CarrierConfig) -> ComplexFilter:
@@ -123,7 +123,7 @@ def make_iq(carrier: CarrierConfig) -> ComplexFilter:
             "IQ sampling requires carrier ratio 1/4, got "
             f"{carrier.periods}/{carrier.samples}"
         )
-    return ComplexFilter(np.array([0.5, 0.5]), domain=Domain.BASEBAND)
+    return ComplexFilter._owning(np.array([0.5, 0.5], dtype=np.complex128))
 
 
 def make_lp(bandwidth: float, sample_period: float) -> ComplexFilter:
@@ -136,7 +136,7 @@ def make_lp(bandwidth: float, sample_period: float) -> ComplexFilter:
     if not _is_positive(sample_period):
         raise UsageError("sample period must be a positive finite real number")
     a = math.exp(-bandwidth * sample_period)
-    return ComplexFilter(np.array([1.0 - a]), pole=a, domain=Domain.BASEBAND)
+    return ComplexFilter._owning(np.array([1.0 - a], dtype=np.complex128), pole=a)
 
 
 def make_dc_reject_passband(pole: float) -> ComplexFilter:
@@ -149,8 +149,8 @@ def make_dc_reject_passband(pole: float) -> ComplexFilter:
     """
     if not (_is_number(pole, numbers.Real) and 0.0 < pole < 1.0):
         raise UsageError("DC-reject pole must be a real number in (0, 1)")
-    return ComplexFilter(
-        np.array([1.0, -1.0]), pole=float(pole), domain=Domain.PASSBAND
+    return ComplexFilter._owning(
+        np.array([1.0, -1.0], dtype=np.complex128), float(pole), Domain.PASSBAND
     )
 
 
@@ -166,9 +166,11 @@ def to_baseband(filt: ComplexFilter, carrier: CarrierConfig) -> ComplexFilter:
     if filt.domain is not Domain.PASSBAND:
         raise UsageError("filter is already a baseband filter")
     step = carrier.phase_step
-    taps = filt.taps * np.exp(-1j * step * np.arange(len(filt.taps)))
+    # An overflow shows as a non-finite tap, which the filter refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        taps = filt.taps * np.exp(-1j * step * np.arange(len(filt.taps)))
     pole = None if filt.pole is None else filt.pole * cmath.exp(-1j * step)
-    return ComplexFilter(taps, pole=pole, domain=Domain.BASEBAND)
+    return ComplexFilter._owning(taps, pole)
 
 
 def convolve(first: ComplexFilter, second: ComplexFilter) -> ComplexFilter:
@@ -179,4 +181,4 @@ def convolve(first: ComplexFilter, second: ComplexFilter) -> ComplexFilter:
         raise UsageError("can only materialize FIR*FIR cascades")
     if first.domain is not second.domain:
         raise UsageError("cannot cascade filters from different domains")
-    return ComplexFilter(np.convolve(first.taps, second.taps), domain=first.domain)
+    return ComplexFilter._owning(np.convolve(first.taps, second.taps), domain=first.domain)

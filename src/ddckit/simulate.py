@@ -86,7 +86,7 @@ class PhaseRampEnvelope:
         return complex(self.amplitude) * np.exp(1j * self.rate * np.asarray(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledEnvelope:
     """Explicit envelope trajectory, one value per absolute sample index,
     kept as a read-only complex copy of the values given."""

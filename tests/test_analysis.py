@@ -608,6 +608,97 @@ def test_fir_tune_meets_its_stated_precision_against_50_digits(stages, share, pe
     assert abs(reference / 10 ** (target_db / 10) - 1) <= bound + 1e-13
 
 
+# The carriers of the benchmark's design queries.
+_DESIGN_CARRIERS = [
+    dk.CarrierConfig(7, 33, 94.29e6),
+    dk.CarrierConfig(3, 14, 117.40e6),
+    dk.CarrierConfig(5, 21, 10e6),
+    dk.CarrierConfig(1, 4, 1e6),
+]
+
+
+@pytest.mark.parametrize("drop_db", [3.0, 15.0])
+@pytest.mark.parametrize("spec", ["hp:0.9375+2sr", "2sr+lp:0.0025"])
+@pytest.mark.parametrize("carrier", _DESIGN_CARRIERS, ids=lambda c: f"{c.periods}/{c.samples}")
+def test_tune_with_poles_takes_one_norm_evaluation(monkeypatch, carrier, spec, drop_db):
+    stages = dk.parse_filter_spec(spec, carrier)
+    target_db = dk.h2_norm_sq(stages).value_db - drop_db
+    calls = _count_energy_calls(monkeypatch)
+    bandwidth = dk.tune_lp_bandwidth(stages, target_db, carrier.sample_period)
+    assert len(calls) == 1
+    lowpass = dk.make_lp(bandwidth, carrier.sample_period)
+    bound = max(1e-12, 2.0**-52 / (1.0 - lowpass.pole.real))
+    achieved = dk.h2_norm_sq(stages + [lowpass]).value
+    assert abs(achieved / 10 ** (target_db / 10) - 1) <= bound
+
+
+def test_a_missed_closed_form_root_ends_in_brents_search(monkeypatch):
+    root = dk.analysis._lp_root
+
+    def missed(*args):
+        x = root(*args)
+        return None if x is None else 1.01 * x
+
+    monkeypatch.setattr(dk.analysis, "_lp_root", missed)
+    calls = _count_energy_calls(monkeypatch)
+    target_db = -20.0
+    bandwidth = dk.tune_lp_bandwidth(_HP_2SR, target_db, 1.0)
+    assert 3 < len(calls) <= 16  # the miss, the bracket's ends, the search
+    lowpass = dk.make_lp(bandwidth, 1.0)
+    reference = float(_mp_energy(*_taps_and_poles(_HP_2SR + [lowpass])))
+    bound = max(1e-12, 2.0**-52 / (1.0 - lowpass.pole.real))
+    assert abs(reference / 10 ** (target_db / 10) - 1) <= bound + 1e-13
+
+
+_pole_stage = st.one_of(
+    # A low-pass at bandwidth*period 1e-5 to 1e-1.
+    st.floats(-5.0, -1.0).map(lambda e: dk.make_lp(10.0**e, 1.0)),
+    # The passband DC-reject in its baseband form: a complex pole.
+    st.builds(
+        lambda pole, carrier: dk.to_baseband(dk.make_dc_reject_passband(pole), carrier),
+        st.floats(0.5, 0.999),
+        st.sampled_from(_DESIGN_CARRIERS),
+    ),
+    st.builds(
+        lambda radius, angle: dk.ComplexFilter([1.0], pole=cmath.rect(radius, angle)),
+        # Nonzero, as the 50-digit oracle needs.
+        st.floats(0.05, 0.95),
+        st.floats(-math.pi, math.pi),
+    ),
+)
+
+
+def _distinct(poles, apart=1e-6):
+    return all(abs(p - q) > apart for i, p in enumerate(poles) for q in poles[:i])
+
+
+@given(
+    fir=st.lists(_fir_stage, max_size=2),
+    with_poles=st.lists(_pole_stage, min_size=1, max_size=3),
+    share=st.floats(0.01, 0.99),
+    period=st.sampled_from([1.0, 1 / 94.29e6]),
+)
+@settings(max_examples=60, deadline=None)
+def test_tune_with_poles_meets_its_stated_precision_against_50_digits(
+    fir, with_poles, share, period
+):
+    # The 50-digit oracle sums partial fractions: the poles must be distinct.
+    stages = fir + with_poles
+    taps, poles = _taps_and_poles(stages)
+    assume(_distinct(poles) and float(np.vdot(taps, taps).real) > 1e-200)
+    top = dk.h2_norm_sq(stages).value
+    bottom = dk.h2_norm_sq(stages + [dk.make_lp(1e-9, 1.0)]).value
+    assume(bottom > 0.0)
+    # A target at a share of the achievable range in dB.
+    target_db = 10 * math.log10(bottom) + share * 10 * math.log10(top / bottom)
+    bandwidth = dk.tune_lp_bandwidth(stages, target_db, period)
+    lowpass = dk.make_lp(bandwidth, period)
+    assume(_distinct(poles + [lowpass.pole]))
+    reference = float(_mp_energy(*_taps_and_poles(stages + [lowpass])))
+    bound = max(1e-12, 2.0**-52 / (1.0 - lowpass.pole.real))
+    assert abs(reference / 10 ** (target_db / 10) - 1) <= bound + 1e-13
+
+
 @pytest.mark.parametrize(
     "taps",
     [np.zeros(1), np.zeros(3), np.full(3, 1e-170)],
@@ -615,7 +706,7 @@ def test_fir_tune_meets_its_stated_precision_against_50_digits(stages, share, pe
 )
 def test_tune_of_a_zero_gain_filter_raises_domain_error(taps):
     # The gain is 0.0 at both ends of the bracket: -inf dB, not log10(0).
-    assert dk.analysis._fir_lp_x(taps.astype(complex), 0.01) is None
+    assert dk.analysis._lp_root(taps.astype(complex), [], [], 0.01) is None
     with pytest.raises(dk.DomainError, match=r"\(-inf dB, -inf dB\)"):
         dk.tune_lp_bandwidth(dk.ComplexFilter(taps), -20.0, 1.0)
 

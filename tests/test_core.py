@@ -430,3 +430,17 @@ def test_objects_keep_their_own_copy_of_an_array(build, stored, view):
     base[3] = math.nan
     assert stored(obj).tobytes() == kept.tobytes()
     assert not stored(obj).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build, stored", _holders, ids=[cls.__name__ for cls, _ in _holders]
+)
+def test_objects_holding_arrays_compare_and_hash_by_identity(build, stored):
+    values = np.linspace(-3.0, 3.0, 12)
+    first, second = build(values), build(values)
+    assert stored(first).tobytes() == stored(second).tobytes()
+    assert (first == first) is True
+    assert (first == second) is False
+    assert (first != second) is True
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2

@@ -284,3 +284,89 @@ def test_unity_dc_normalization_across_constructors():
         dk.make_lp(0.05, 1.0),
     ):
         assert abs(f.dc_gain - 1.0) < 1e-12
+
+
+# ------------------------------------------- filters the package builds
+
+_C733 = dk.CarrierConfig(7, 33)
+_C14 = dk.CarrierConfig(1, 4)
+_PASSBAND = dk.ComplexFilter(
+    np.array([0.3 - 0.2j, -0.0 + 1j, 0.7]), pole=0.5j, domain=dk.Domain.PASSBAND
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: [dk.make_ma(1)],
+        lambda: [dk.make_ma(33)],
+        lambda: [dk.make_2sr(_C733)],
+        lambda: [dk.make_2sr(_C733, keep_phase_factor=False)],
+        lambda: [dk.make_dcr(_C733)],
+        lambda: [dk.make_iq(_C14)],
+        lambda: [dk.make_lp(0.01, 1.0)],
+        lambda: [dk.make_lp(1e3, 1.0)],
+        lambda: [dk.make_dc_reject_passband(0.9375)],
+        lambda: [dk.to_baseband(dk.make_dc_reject_passband(0.9375), _C733)],
+        lambda: [dk.to_baseband(_PASSBAND, _C733)],
+        lambda: [dk.convolve(dk.make_2sr(_C733), dk.make_dcr(_C733))],
+        lambda: [dk.convolve(dk.ComplexFilter([2.0]), dk.make_ma(3))],
+        lambda: dk.parse_filter_spec("ma:14+2sr+dcr+iq+lp:0.01+hp:0.9375", _C14),
+        lambda: dk.parse_filter_spec("hp:0.5+2sr+lp:1e-5", _C733),
+    ],
+    ids=[
+        "ma1", "ma33", "2sr", "2sr-no-phase", "dcr", "iq", "lp", "lp-wide",
+        "hp", "hp-baseband", "to-baseband", "convolve", "convolve-real",
+        "spec-1/4", "spec-7/33",
+    ],
+)
+def test_package_filters_are_the_validated_filter_bytewise(monkeypatch, build):
+    # Every filter the package builds, the intermediate ones included, comes
+    # from _owning: record what it was given, and build the same filter from
+    # that through the public constructor.
+    given = []
+    owning = dk.ComplexFilter._owning.__func__
+
+    def recorded(cls, taps, pole=None, domain=dk.Domain.BASEBAND):
+        assert taps.dtype == np.complex128 and taps.flags.writeable
+        copy = taps.copy()
+        filt = owning(cls, taps, pole, domain)
+        assert filt.taps is taps  # kept, not copied
+        given.append((filt, copy, pole, domain))
+        return filt
+
+    monkeypatch.setattr(dk.ComplexFilter, "_owning", classmethod(recorded))
+    built = build()
+    assert {id(filt) for filt in built} <= {id(filt) for filt, *_ in given}
+    for filt, taps, pole, domain in given:
+        validated = dk.ComplexFilter(taps, pole=pole, domain=domain)
+        assert not filt.taps.flags.writeable
+        assert filt.taps.tobytes() == validated.taps.tobytes()
+        assert repr(filt.pole) == repr(validated.pole)
+        assert filt.domain is validated.domain
+        assert filt._real == validated._real
+
+
+def test_transformed_and_convolved_filters_share_no_memory_with_their_inputs():
+    hp = dk.make_dc_reject_passband(0.9375)
+    first, second = dk.make_2sr(_C733), dk.make_ma(1)
+    assert not np.shares_memory(dk.to_baseband(hp, _C733).taps, hp.taps)
+    convolved = dk.convolve(first, second)
+    assert not np.shares_memory(convolved.taps, first.taps)
+    assert not np.shares_memory(convolved.taps, second.taps)
+
+
+def test_overflow_in_a_transform_or_a_convolution_is_a_domain_error():
+    huge = dk.ComplexFilter(np.full(2, 1.5e308 + 1.5e308j), domain=dk.Domain.PASSBAND)
+    # At ratio 1/8 the second tap turns by pi/4: its real part is 2.1e308.
+    with pytest.raises(dk.DomainError, match="float range"):
+        dk.to_baseband(huge, dk.CarrierConfig(1, 8))
+    big = dk.ComplexFilter(np.full(2, 1e200))
+    with pytest.raises(dk.DomainError, match="float range"):
+        dk.convolve(big, big)
+
+
+def test_a_low_pass_whose_pole_rounds_to_one_is_a_usage_error():
+    # exp(-1e-17) rounds to 1.0: the pole is on the unit circle.
+    with pytest.raises(dk.UsageError, match=r"pole magnitude 1 >= 1 \(unstable\)"):
+        dk.make_lp(1e-17, 1.0)

@@ -86,6 +86,18 @@ def test_chain_validates_domains():
         dk.DdcChain(carrier, ddc=dk.make_ma(33), pre_mixer=dk.make_ma(3))
 
 
+def test_a_chain_is_hashable_and_compares_its_filters_by_identity():
+    carrier = dk.CarrierConfig(7, 33)
+    envelope = dk.make_2sr(carrier)
+    chain = dk.make_chain(carrier, envelope, pre_mixer=dk.make_dc_reject_passband(0.9))
+    same = dk.DdcChain(carrier, envelope, pre_mixer=chain.pre_mixer)
+    assert hash(chain) == hash(same)
+    assert (chain == same) is True
+    # Equal taps in a distinct filter are a distinct filter.
+    assert (chain == dk.make_chain(carrier, dk.make_2sr(carrier))) is False
+    assert len({chain, same}) == 1
+
+
 def test_chain_decimate_then_filter_requires_lowpass():
     carrier = dk.CarrierConfig(7, 33)
     with pytest.raises(dk.UsageError):

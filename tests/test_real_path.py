@@ -3,6 +3,7 @@ kernel against a literal complex composition, bit for bit, the lazy
 import of scipy.signal that only a pole needs, and the first design queries,
 which import nothing beyond the package."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -220,57 +221,23 @@ def test_the_real_pre_mixer_stage_hands_the_mixer_its_exact_input(data):
     assert pipeline._mix(out, 5, table).tobytes() == pipeline._mix(expected, 5, table).tobytes()
 
 
-_POLE_FREE = """
+# Both import guards run in one fresh interpreter.  The design queries and
+# the FIR-only run, which must load nothing outside ddckit after the CLI,
+# come first; scipy.signal must then still be missing until a pole runs.
+_IMPORT_GUARDS = """
 import sys
 import numpy as np
 import ddckit as dk
 import ddckit.cli
+
+def fail(guard, message):
+    print(f"{guard}: {message}")
 
 def check(loaded, after):
     if ("scipy.signal" in sys.modules) != loaded:
-        sys.exit(f"scipy.signal {'not ' if loaded else ''}loaded after {after}")
+        fail("pole", f"scipy.signal {'not ' if loaded else ''}loaded after {after}")
 
 check(False, "import")
-ess = dk.get_preset("ess")
-envelope = dk.parse_filter_spec(ess.filter_spec, ess.carrier)[0]
-chain = dk.make_chain(ess.carrier, envelope, decimation=ess.decimation)
-dk.run(chain, dk.RealSeq(np.ones(700)))
-check(False, "a FIR-only run")
-carrier = dk.CarrierConfig(7, 33)
-dk.h2_norm_sq([dk.make_2sr(carrier), dk.make_lp(0.01, 1.0)])
-check(False, "h2_norm_sq")
-dk.freq_response(dk.make_ma(11), dk.FreqGrid.regular(64))
-check(False, "freq_response")
-ddckit.cli.main(["norm", "--carrier", "7/33", "--filter", "2sr", "--lp", "0.01"])
-check(False, "ddckit norm")
-chain = dk.make_chain(carrier, dk.make_2sr(carrier), lp_bandwidth=0.1)
-dk.run(chain, dk.RealSeq(np.ones(500)))
-check(True, "a run with a pole")
-"""
-
-
-def _run_child(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports the same ddckit as
-    this process."""
-    src = str(Path(dk.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_scipy_signal_is_imported_only_when_a_pole_runs():
-    done = _run_child(_POLE_FREE)
-    assert done.returncode == 0, done.stderr
-
-
-_NO_FIRST_CALL_IMPORTS = """
-import sys
-import numpy as np
-import ddckit as dk
-import ddckit.cli
-
 before = set(sys.modules)
 carrier = dk.CarrierConfig(7, 33)
 stages = dk.parse_filter_spec("hp:0.9375+2sr+lp:0.01", carrier)
@@ -278,6 +245,10 @@ dk.h2_norm_sq(stages)
 dk.multirate_norm_sq(dk.make_ma(33), dk.make_lp(0.1, 1.0), 33)
 dk.tune_lp_bandwidth(stages[:2], -20.0, 1.0)
 dk.tune_lp_bandwidth(dk.make_ma(33), -20.0, 1.0)
+# A tune with poles whose low-pass lands at bandwidth*period 1e-5.
+narrow = dk.h2_norm_sq(stages[:2] + [dk.make_lp(1e-5, 1.0)]).value_db
+dk.tune_lp_bandwidth(stages[:2], narrow, 1.0)
+dk.parse_filter_spec("ma:4+2sr+dcr+iq+lp:0.01+hp:0.9375", dk.CarrierConfig(1, 4))
 dk.phase_metrics(stages, 0.5, 1.0)
 dk.phase_metrics(stages, 0.0, 1.0)
 dk.freq_response(stages, dk.FreqGrid.regular(64))
@@ -292,13 +263,53 @@ added = sorted(
     if name != "ddckit" and not name.startswith("ddckit.")
 )
 if added:
-    sys.exit(f"loaded outside ddckit: {added}")
+    fail("first-call", f"loaded outside ddckit: {added}")
 loaded = [name for name in ("numpy.fft", "numpy.polynomial") if name in sys.modules]
 if loaded:
-    sys.exit(f"loaded at all: {loaded}")
+    fail("first-call", f"loaded at all: {loaded}")
+check(False, "the design queries and a FIR-only run")
+dk.h2_norm_sq([dk.make_2sr(carrier), dk.make_lp(0.01, 1.0)])
+check(False, "h2_norm_sq")
+dk.freq_response(dk.make_ma(11), dk.FreqGrid.regular(64))
+check(False, "freq_response")
+ddckit.cli.main(["norm", "--carrier", "7/33", "--filter", "2sr", "--lp", "0.01"])
+check(False, "ddckit norm")
+ddckit.cli.main(["tune", "--carrier", "7/33", "--filter", "hp:0.9375+2sr",
+                 "--target-db", "-20"])
+check(False, "ddckit tune")
+loaded = [name for name in ("numpy.fft", "numpy.polynomial") if name in sys.modules]
+if loaded:
+    fail("first-call", f"loaded after ddckit tune: {loaded}")
+chain = dk.make_chain(carrier, dk.make_2sr(carrier), lp_bandwidth=0.1)
+dk.run(chain, dk.RealSeq(np.ones(500)))
+check(True, "a run with a pole")
 """
 
 
+@functools.cache
+def _import_guards() -> tuple[int, str, str]:
+    """Run both import guards once, in a fresh interpreter that imports the
+    same ddckit as this process: its exit code, its stdout (one
+    ``guard: message`` line per failed check, after the CLI's output) and its
+    stderr."""
+    src = str(Path(dk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARDS], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _guard_failures(guard: str) -> list[str]:
+    returncode, stdout, stderr = _import_guards()
+    assert returncode == 0, stderr
+    return [line for line in stdout.splitlines() if line.startswith(guard + ": ")]
+
+
+def test_scipy_signal_is_imported_only_when_a_pole_runs():
+    assert _guard_failures("pole") == []
+
+
 def test_design_queries_and_a_fir_run_import_nothing_after_the_cli():
-    done = _run_child(_NO_FIRST_CALL_IMPORTS)
-    assert done.returncode == 0, done.stderr
+    assert _guard_failures("first-call") == []
