@@ -3,13 +3,14 @@
 Everything downstream (filter constructors, chain composition, analysis) is
 built on the small set of types defined here.  All arithmetic is double
 precision.  Filters have complex coefficients; the FIR part is a direct sum
-over the taps in ascending order, and :func:`scipy.signal.lfilter` runs only
-the pole.  ``scipy.signal``, most of a second to import, is loaded when a
-filter with a pole first runs, so importing the package and running
-pole-free filters never load it.  A filter whose taps and pole are real runs
-in real arithmetic as far as its input allows, with the complex kernel's
-bits.  Explicit state objects make block processing exactly equivalent to
-one-shot processing.
+over the taps in ascending order, and only the pole runs in scipy, in the
+compiled direct-form II filter to which :func:`scipy.signal.lfilter` hands
+the call, so with ``lfilter``'s bits.  That one extension module is loaded on
+its own when a filter with a pole first runs, in about a millisecond; the
+package never imports ``scipy.signal``, which takes more than a second.  A
+filter whose taps and pole are real runs in real arithmetic as far as its
+input allows, with the complex kernel's bits.  Explicit state objects make
+block processing exactly equivalent to one-shot processing.
 
 What the package accepts from outside is decided here, once, by a few
 private validators that every entry point calls: integers and finite numbers
@@ -37,8 +38,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,7 +126,8 @@ def _validated_samples(
     if arr.ndim != 1:
         raise UsageError(f"{what} must be one-dimensional")
     arr = arr.astype(dtype, copy=False)
-    if not np.isfinite(arr).all():
+    # count_nonzero reads the boolean array faster than all().
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         if owned:
             raise DomainError(f"{what} left the float range")
         raise UsageError(f"{what} must contain only finite values")
@@ -436,13 +441,30 @@ _ONE = np.ones(1)
 
 
 @functools.cache
-def _lfilter():
-    """:func:`scipy.signal.lfilter`, imported when a filter with a pole
-    first runs: ``scipy.signal`` takes most of a second to import, and
-    nothing else in the package needs it."""
-    from scipy.signal import lfilter
+def _linear_filter():
+    """``scipy.signal._sigtools._linear_filter``, scipy's compiled
+    direct-form II filter, to which :func:`scipy.signal.lfilter` hands every
+    call whose denominator has more than one coefficient, with ``b``, ``a``,
+    ``x``, ``axis`` and ``zi`` unchanged.
 
-    return lfilter
+    The extension module is loaded from scipy's directory on its own, when a
+    filter with a pole first runs, in about a millisecond: importing
+    ``scipy.signal`` for ``lfilter`` takes more than a second and brings in
+    ``scipy.stats``, ``scipy.interpolate`` and ``scipy.optimize``, which the
+    package does not use.  Finding scipy's directory does not import scipy.
+    The extension registers itself in ``sys.modules`` as
+    ``scipy.signal._sigtools``, so a later ``import scipy.signal`` reuses it,
+    and a ``scipy.signal`` imported earlier hands back its own module.  The
+    routine is private to scipy, so the tier-1 tests pin it bitwise against
+    ``lfilter``, in either import order.
+    """
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.signal._sigtools", [os.path.join(d, "signal") for d in scipy_dirs]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
 
 
 def _filter_block(
@@ -460,7 +482,8 @@ def _filter_block(
     ...``, in ascending tap order, only at the kept ``k`` (polyphase
     decimation); the delay line still advances over the whole block.  A
     filter with a pole needs every output for its recursion, so it computes
-    them all and then slices; the first pole to run imports ``scipy.signal``.
+    them all and then slices; the first pole to run loads scipy's compiled
+    filter (:func:`_linear_filter`), not ``scipy.signal``.
 
     A real block through a real state (see :class:`FilterState`) runs the
     taps and the pole in ``float64`` and returns a real array: its values are
@@ -484,8 +507,9 @@ def _filter_block(
                 state._carry = state._carry.astype(np.complex128)
     count = len(values)
     if count == 0:
-        # For an empty block lfilter does not hand back the carry it was
-        # given (scipy 1.17 returns uninitialised memory); keep the state.
+        # For an empty block scipy's linear filter does not hand back the
+        # carry it was given (scipy 1.17 returns uninitialised memory); keep
+        # the state.
         return values
     first, step = (0, 1) if filt.pole is not None else keep
     length = len(taps)
@@ -509,33 +533,37 @@ def _recursion(filt: ComplexFilter, state: FilterState, v: np.ndarray) -> np.nda
     """``y[k] = pole*y[k-1] + v[k]`` from the carry in ``state``, which it
     updates: the pole of :func:`_filter_block`.
 
-    A real ``v`` runs in one real :func:`~scipy.signal.lfilter`.  A complex
-    ``v`` through a real pole runs as one real ``lfilter`` down the two
-    columns of its ``(n, 2)`` float view, carried in the complex carry's
-    float view.  The two differ from the complex ``lfilter`` only in the
-    sign of a zero: where a part of ``v`` is zero, or where ``pole*y`` is
-    zero and the next part of ``v`` is too.  So the float view runs only on
-    a ``v`` with no zero part, and its result is kept only if the carry it
-    hands on has none; any other block runs through the complex ``lfilter``.
+    Each call runs :func:`_linear_filter` positionally, as
+    ``(b, a, x, axis, zi)``, which is what :func:`scipy.signal.lfilter`
+    passes it, so the bits are ``lfilter``'s.  A real ``v`` runs in one real
+    filter.  A complex ``v`` through a real pole runs as one real filter down
+    the two columns of its ``(n, 2)`` float view, along axis 0, carried in
+    the complex carry's float view.  The two differ from the complex filter
+    only in the sign of a zero: where a part of ``v`` is zero, or where
+    ``pole*y`` is zero and the next part of ``v`` is too.  So the float view
+    runs only on a ``v`` with no zero part, and its result is kept only if
+    the carry it hands on has none; any other block runs through the complex
+    filter.
     """
-    lfilter = _lfilter()
+    linear_filter = _linear_filter()
     if filt._real:
         a = np.array([1.0, -filt.pole.real])
         if v.dtype is _FLOAT64:
-            v, state._carry = lfilter(_ONE, a, v, zi=state._carry)
+            v, state._carry = linear_filter(_ONE, a, v, -1, state._carry)
             return v
         pairs = v.view(np.float64).reshape(-1, 2)
         if not (pairs == 0.0).any():
             zi = state._carry.view(np.float64).reshape(1, 2)
-            y, carry = lfilter(_ONE, a, pairs, axis=0, zi=zi)
+            y, carry = linear_filter(_ONE, a, pairs, 0, zi)
             if carry.all():
                 state._carry = carry.view(np.complex128).reshape(1)
                 return y.view(np.complex128).reshape(-1)
-    v, state._carry = lfilter(
+    v, state._carry = linear_filter(
         np.ones(1, dtype=np.complex128),
         np.array([1.0, -filt.pole], dtype=np.complex128),
         v,
-        zi=state._carry,
+        -1,
+        state._carry,
     )
     return v
 

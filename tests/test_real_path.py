@@ -1,12 +1,16 @@
 """Real coefficients in real arithmetic: the float64 paths of the filter
-kernel against a literal complex composition, bit for bit, the lazy
-import of scipy.signal that only a pole needs, and the first design queries,
-which import nothing beyond the package."""
+kernel against a literal complex composition, bit for bit; scipy's compiled
+linear filter, which runs every pole, against scipy.signal.lfilter, bit for
+bit, in either import order; and the imports: a pole loads that one
+extension module and never scipy.signal, and the first design queries import
+nothing beyond the package."""
 
 import functools
 import os
+import pickle
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -223,7 +227,8 @@ def test_the_real_pre_mixer_stage_hands_the_mixer_its_exact_input(data):
 
 # Both import guards run in one fresh interpreter.  The design queries and
 # the FIR-only run, which must load nothing outside ddckit after the CLI,
-# come first; scipy.signal must then still be missing until a pole runs.
+# come first; then a pole must load scipy's compiled linear filter alone,
+# and scipy.signal must stay missing through the CLI's pole-heavy simulate.
 _IMPORT_GUARDS = """
 import sys
 import numpy as np
@@ -233,11 +238,17 @@ import ddckit.cli
 def fail(guard, message):
     print(f"{guard}: {message}")
 
-def check(loaded, after):
-    if ("scipy.signal" in sys.modules) != loaded:
-        fail("pole", f"scipy.signal {'not ' if loaded else ''}loaded after {after}")
+def check(after):
+    if "scipy.signal" in sys.modules:
+        fail("pole", f"scipy.signal loaded after {after}")
 
-check(False, "import")
+def outside(before):
+    return sorted(
+        name for name in set(sys.modules) - before
+        if name != "ddckit" and not name.startswith("ddckit.")
+    )
+
+check("import")
 before = set(sys.modules)
 carrier = dk.CarrierConfig(7, 33)
 stages = dk.parse_filter_spec("hp:0.9375+2sr+lp:0.01", carrier)
@@ -258,45 +269,53 @@ envelope = dk.parse_filter_spec(ess.filter_spec, ess.carrier)[0]
 chain = dk.make_chain(ess.carrier, envelope, decimation=ess.decimation)
 dk.run(chain, dk.RealSeq(np.ones(700)))
 dk.group_delay_seconds(chain)
-added = sorted(
-    name for name in set(sys.modules) - before
-    if name != "ddckit" and not name.startswith("ddckit.")
-)
+added = outside(before)
 if added:
     fail("first-call", f"loaded outside ddckit: {added}")
 loaded = [name for name in ("numpy.fft", "numpy.polynomial") if name in sys.modules]
 if loaded:
     fail("first-call", f"loaded at all: {loaded}")
-check(False, "the design queries and a FIR-only run")
+check("the design queries and a FIR-only run")
 dk.h2_norm_sq([dk.make_2sr(carrier), dk.make_lp(0.01, 1.0)])
-check(False, "h2_norm_sq")
+check("h2_norm_sq")
 dk.freq_response(dk.make_ma(11), dk.FreqGrid.regular(64))
-check(False, "freq_response")
+check("freq_response")
 ddckit.cli.main(["norm", "--carrier", "7/33", "--filter", "2sr", "--lp", "0.01"])
-check(False, "ddckit norm")
+check("ddckit norm")
 ddckit.cli.main(["tune", "--carrier", "7/33", "--filter", "hp:0.9375+2sr",
                  "--target-db", "-20"])
-check(False, "ddckit tune")
+check("ddckit tune")
 loaded = [name for name in ("numpy.fft", "numpy.polynomial") if name in sys.modules]
 if loaded:
     fail("first-call", f"loaded after ddckit tune: {loaded}")
+before = set(sys.modules)
 chain = dk.make_chain(carrier, dk.make_2sr(carrier), lp_bandwidth=0.1)
 dk.run(chain, dk.RealSeq(np.ones(500)))
-check(True, "a run with a pole")
+added = outside(before)
+if added != ["scipy.signal._sigtools"]:
+    fail("pole", f"a pole loaded {added} outside ddckit")
+check("a run with a pole")
+ddckit.cli.main(["simulate", "--preset", "lcls2", "--lp", "--noise", "0.01",
+                 "--samples", "50000"])
+check("ddckit simulate --lp")
 """
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the same ddckit
+    as this process."""
+    src = str(Path(dk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @functools.cache
 def _import_guards() -> tuple[int, str, str]:
-    """Run both import guards once, in a fresh interpreter that imports the
-    same ddckit as this process: its exit code, its stdout (one
-    ``guard: message`` line per failed check, after the CLI's output) and its
-    stderr."""
-    src = str(Path(dk.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    """Run both import guards once, in a fresh interpreter: its exit code,
+    its stdout (one ``guard: message`` line per failed check, after the CLI's
+    output) and its stderr."""
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARDS], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _IMPORT_GUARDS], capture_output=True, text=True, env=_child_env()
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -307,9 +326,132 @@ def _guard_failures(guard: str) -> list[str]:
     return [line for line in stdout.splitlines() if line.startswith(guard + ": ")]
 
 
-def test_scipy_signal_is_imported_only_when_a_pole_runs():
+def test_a_pole_loads_only_scipys_compiled_filter():
     assert _guard_failures("pole") == []
 
 
 def test_design_queries_and_a_fir_run_import_nothing_after_the_cli():
     assert _guard_failures("first-call") == []
+
+
+def _recursion_calls(data, carry, pole):
+    """The three calls ``_recursion`` makes, with the arguments it builds, as
+    ``(b, a, x, axis, zi)``: a real block, the ``(n, 2)`` float view of a
+    complex block along axis 0, and a complex block through ``pole``."""
+    x = np.array(data)
+    z = x + 1j * x[::-1]
+    real = np.array([1.0, -pole.real])
+    return [
+        (np.ones(1), real, x, -1, np.array([carry.real])),
+        (np.ones(1), real, z.view(np.float64).reshape(-1, 2), 0,
+         np.array([[carry.real, carry.imag]])),
+        (np.ones(1, dtype=np.complex128), np.array([1.0, -pole], dtype=np.complex128), z, -1,
+         np.array([carry])),
+    ]
+
+
+def _lfilter_mismatches(calls, results):
+    """The indices of the calls whose ``(output, carry)`` in ``results``
+    differs from ``lfilter``'s in a bit."""
+    return [
+        i
+        for i, ((b, a, x, axis, zi), got) in enumerate(zip(calls, results, strict=True))
+        if [r.tobytes() for r in got]
+        != [r.tobytes() for r in lfilter(b, a, x, axis=axis, zi=zi)]
+    ]
+
+
+@given(
+    data=_samples,
+    carry=st.tuples(_sample, _sample),
+    pole=st.sampled_from([0.0, 1e-300, 0.5, 0.9375, 0.5j, -0.5])
+    | st.complex_numbers(max_magnitude=0.99999),
+)
+@settings(max_examples=150, deadline=None)
+def test_scipys_compiled_filter_gives_lfilters_bits(data, carry, pole):
+    calls = _recursion_calls(data, complex(*carry), complex(pole))
+    routine = dk.core._linear_filter()
+    assert _lfilter_mismatches(calls, [routine(*call) for call in calls]) == []
+
+
+# A fresh interpreter unpickles a block and the three calls, runs a chain
+# with two poles on the block and the loaded routine on the calls, both
+# before or after importing scipy.signal, and pickles the results and whether
+# scipy.signal's lfilter reaches the very routine ddckit loaded.
+_LOAD_ORDER = """
+import pickle
+import sys
+order, given, taken = sys.argv[1:]
+if order == "scipy-first":
+    import scipy.signal
+import ddckit as dk
+from ddckit import core
+
+with open(given, "rb") as f:
+    x, calls = pickle.load(f)
+carrier = dk.CarrierConfig(7, 33)
+chain = dk.make_chain(carrier, dk.make_2sr(carrier), lp_bandwidth=0.05,
+                      pre_mixer=dk.make_dc_reject_passband(15 / 16))
+out = dk.run(chain, dk.RealSeq(x, start=40000007)).seq.values
+routine = core._linear_filter()
+results = [routine(*call) for call in calls]
+import scipy.signal
+from scipy.signal import _signaltools, _sigtools
+holders = [sys.modules["scipy.signal._sigtools"], _sigtools, _signaltools._sigtools]
+same = all(holder._linear_filter is routine for holder in holders)
+with open(taken, "wb") as f:
+    pickle.dump((out, results, same), f)
+"""
+
+
+def _awkward_block() -> np.ndarray:
+    """Gaussian samples with runs of both signed zeros and two subnormals."""
+    x = np.random.default_rng(3).standard_normal(1200)
+    x[50:60], x[60:70], x[70], x[71] = -0.0, 0.0, 5e-324, -1e-310
+    return x
+
+
+def _awkward_calls() -> list:
+    """The three calls on the awkward block, for a real pole and a complex
+    one, from a carry with a subnormal imaginary part."""
+    return [
+        call
+        for pole in (0.9375, 0.5 + 0.25j)
+        for call in _recursion_calls(_awkward_block(), 0.75 - 1e-310j, pole)
+    ]
+
+
+@functools.cache
+def _load_orders() -> dict[str, tuple[int, str, tuple]]:
+    """Both load orders, each in a fresh interpreter, run side by side: the
+    exit code, stderr and the unpickled results."""
+    with tempfile.TemporaryDirectory() as tmp:
+        given = Path(tmp, "given.pickle")
+        given.write_bytes(pickle.dumps((_awkward_block(), _awkward_calls())))
+        runs = {
+            order: subprocess.Popen(
+                [sys.executable, "-c", _LOAD_ORDER, order, given, Path(tmp, order)],
+                stderr=subprocess.PIPE, text=True, env=_child_env(),
+            )
+            for order in ("ddckit-first", "scipy-first")
+        }
+        done = {order: (run.communicate()[1], run.returncode) for order, run in runs.items()}
+        return {
+            order: (code, err, code or pickle.loads(Path(tmp, order).read_bytes()))
+            for order, (err, code) in done.items()
+        }
+
+
+@pytest.mark.parametrize("order", ["ddckit-first", "scipy-first"])
+def test_the_loaded_routine_is_lfilters_in_either_import_order(order):
+    returncode, stderr, taken = _load_orders()[order]
+    assert returncode == 0, stderr
+    out, results, same = taken
+    assert same
+    carrier = dk.CarrierConfig(7, 33)
+    chain = dk.make_chain(
+        carrier, dk.make_2sr(carrier), lp_bandwidth=0.05,
+        pre_mixer=dk.make_dc_reject_passband(15 / 16),
+    )
+    assert out.tobytes() == _reference_chain(chain, _awkward_block(), 40000007).tobytes()
+    assert _lfilter_mismatches(_awkward_calls(), results) == []
