@@ -26,6 +26,7 @@ from .core import (
     ComplexFilter,
     DomainError,
     UsageError,
+    _adopt,
     _check_type,
     _is_int,
     _is_number,
@@ -38,10 +39,7 @@ FilterOrCascade = Union[ComplexFilter, Sequence[ComplexFilter]]
 # The bracket of bandwidth*period that tune_lp_bandwidth searches.
 _X_LO, _X_HI = 1e-9, 50.0
 _ULP_OF_ONE = 2.0**-52
-# The regular grids FreqGrid.regular keeps, newest last, and the most points
-# a kept grid may have.
-_REGULAR_GRIDS: dict[tuple, "FreqGrid"] = {}
-_REGULAR_GRIDS_KEPT = 8
+# The most points a regular grid that FreqGrid.regular keeps may have.
 _REGULAR_POINTS_KEPT = 1 << 16
 # A stage whose response at the evaluation frequency is at most this share
 # of its tap magnitude sum sits on a zero, for phase_metrics.
@@ -80,40 +78,20 @@ class FreqGrid:
     def regular(cls, points: int, sample_rate: float | None = None) -> "FreqGrid":
         """Uniform grid of ``points`` frequencies covering (-pi, pi].
 
-        The grid takes the array it builds as its own: it is finite, strictly
-        increasing and inside (-pi, pi] by construction, so it is neither
-        copied nor checked again.  Grids of up to 65536 points are shared:
-        the last eight distinct ``(points, sample_rate)`` requests each keep
-        one immutable grid, whose read-only thetas and phasors every later
-        request of the same pair returns.  The arguments are checked before
-        the lookup.
+        The grid is adopted around the array it builds (``core._adopt``): it
+        is finite, strictly increasing and inside (-pi, pi] by construction,
+        so it is neither copied nor checked again.  Grids of up to 65536
+        points are shared: the last eight distinct ``(points, sample_rate)``
+        requests (the types included) each keep one immutable grid, whose
+        read-only thetas and phasors every later request of the same pair
+        returns.  The arguments are checked before the lookup.
         """
         if not _is_int(points) or points < 1:
             raise UsageError("grid needs a positive integer number of points")
         _check_grid_rate(sample_rate)
-        key = (cls, int(points), type(sample_rate), sample_rate)
-        grid = _REGULAR_GRIDS.pop(key, None)
-        if grid is None:
-            grid = cls._build_regular(points, sample_rate)
-            if points > _REGULAR_POINTS_KEPT:
-                return grid
-            if len(_REGULAR_GRIDS) >= _REGULAR_GRIDS_KEPT:
-                del _REGULAR_GRIDS[next(iter(_REGULAR_GRIDS))]
-        _REGULAR_GRIDS[key] = grid
-        return grid
-
-    @classmethod
-    def _build_regular(cls, points: int, sample_rate: float | None) -> "FreqGrid":
-        step = 2.0 * math.pi / points
-        thetas = -math.pi + step * np.arange(1, points + 1)
-        # step * points rounds above 2*pi for some counts (25 is the first),
-        # which would put the last point just past pi.
-        thetas[-1] = min(thetas[-1], math.pi)
-        thetas.setflags(write=False)
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "thetas", thetas)
-        object.__setattr__(grid, "sample_rate", sample_rate)
-        return grid
+        if points > _REGULAR_POINTS_KEPT:
+            return _regular_grid.__wrapped__(points, sample_rate)
+        return _regular_grid(points, sample_rate)
 
     @functools.cached_property
     def _phasors(self) -> np.ndarray:
@@ -131,6 +109,23 @@ class FreqGrid:
 
     def __len__(self) -> int:
         return len(self.thetas)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _regular_grid(points: int, sample_rate: float | None) -> FreqGrid:
+    """The grid of :meth:`FreqGrid.regular`, whose last eight distinct
+    requests are kept; ``__wrapped__`` builds one that is not kept."""
+    step = 2.0 * math.pi / points
+    thetas = -math.pi + step * np.arange(1, points + 1)
+    # step * points rounds above 2*pi for some counts (25 is the first), which
+    # would put the last point just past pi.
+    thetas[-1] = min(thetas[-1], math.pi)
+    return _adopt(FreqGrid, "frequency grid", thetas, sample_rate=sample_rate)
+
+
+def _db(value: float) -> float:
+    """``value`` in dB, -inf for zero."""
+    return 10.0 * math.log10(value) if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -164,13 +159,16 @@ class NormReport:
 
     @property
     def value_db(self) -> float:
-        return 10.0 * math.log10(self.value) if self.value > 0 else -math.inf
+        return _db(self.value)
 
 
 def _as_stages(obj: FilterOrCascade) -> list[ComplexFilter]:
     if isinstance(obj, ComplexFilter):
         return [obj]
-    stages = list(obj)
+    try:
+        stages = list(obj)
+    except TypeError:  # not iterable
+        stages = []
     if not stages or not all(isinstance(s, ComplexFilter) for s in stages):
         raise UsageError("expected a ComplexFilter or a sequence of them")
     return stages
@@ -433,11 +431,6 @@ def tune_lp_bandwidth(
     return _lp_x(v) / sample_period
 
 
-def _db(value: float) -> float:
-    """``value`` in dB, -inf for zero, as :attr:`NormReport.value_db`."""
-    return 10.0 * math.log10(value) if value > 0 else -math.inf
-
-
 def _lp_root(
     taps: np.ndarray, poles: Sequence[complex], gaps: Sequence[complex], target: float
 ) -> float | None:
@@ -675,6 +668,8 @@ def phase_metrics(
 
 def reduce_angle(theta: float) -> float:
     """Reduce an angle to the principal interval (-pi, pi]."""
+    if not _is_number(theta, numbers.Real):
+        raise UsageError(f"angle must be a finite real number, not {theta!r}")
     return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
@@ -699,6 +694,7 @@ def alias_map(order: int, carrier: CarrierConfig) -> AliasImages:
     """
     if not _is_int(order) or order < 1:
         raise UsageError("harmonic order must be a positive integer")
+    _check_type(carrier, CarrierConfig, "the carrier")
     step = carrier.phase_step
     return AliasImages(
         pos=reduce_angle((order - 1) * step),

@@ -16,22 +16,25 @@ What the package accepts from outside is decided here, once, by a few
 private validators that every entry point calls: integers and finite numbers
 that are not ``bool``, finite positive reals, instances of the package's
 types, and sample arrays (1-D, numeric and finite, copied unless the
-validator made them itself, and read-only).  Samples are validated where they
-enter, when a :class:`RealSeq` or :class:`ComplexSeq` is built; nothing the
-package builds is validated again.  Code inside the package that computes a
-new array from validated samples, or from noise it draws itself, runs
-private array kernels and wraps only the result it returns; ``run``'s wrap
-takes that array as its own, without a copy, and a non-finite value in it,
-an overflow, is a :class:`DomainError`.  Filters are built the same way: the
-constructors of :mod:`ddckit.filters` hand the taps they compute to
-``ComplexFilter._owning``, which keeps them without a copy, checks only that
-they are finite and the pole stable, and leaves the full validation to
-filters built from outside.  Objects that hold arrays (sequences, filters,
-frequency grids, sampled envelopes) compare and hash by identity, since an
-element-wise comparison has no single truth value.  The filter kernel can
-compute an FIR at the kept samples of a decimator alone (polyphase
-decimation), in the same tap order, so the kept outputs are bitwise those of
-the full computation.
+validator made them itself, and read-only).  One rule then covers every
+array: outside input is validated once, where it enters (when a
+:class:`RealSeq`, :class:`ComplexSeq` or :class:`ComplexFilter` is built from
+outside values); the package's own results are adopted, never validated
+again; and any overflow is a :class:`DomainError`.  Adopting is one private
+helper, :func:`_adopt`: it runs the arithmetic that makes a new array, where
+there is any, with numpy's overflow warnings off, refuses a non-finite value
+in the result (an overflow) as a :class:`DomainError`, marks the array
+read-only and builds the frozen object around it without a copy.  Every sequence, filter and regular
+frequency grid the package computes comes from it: the outputs of
+:func:`filter_stream`, :func:`apply_filter`, :func:`decimate`, the mixer and
+``run``, synthesized streams, impulse responses, the filters of
+:mod:`ddckit.filters` (through ``ComplexFilter._owning``, which also checks
+the pole's stability) and ``FreqGrid.regular``.  Objects that hold arrays
+(sequences, filters, frequency grids, sampled envelopes) compare and hash by
+identity, since an element-wise comparison has no single truth value.  The
+filter kernel can compute an FIR at the kept samples of a decimator alone
+(polyphase decimation), in the same tap order, so the kept outputs are
+bitwise those of the full computation.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import importlib.util
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,20 +104,17 @@ def _check_type(value, kind, what: str) -> None:
         raise UsageError(f"{what} must be a {names}, not {type(value).__name__}")
 
 
-def _validated_samples(
-    values, dtype: type, what: str, owned: bool = False
-) -> np.ndarray:
-    """``values`` as a read-only 1-D array of ``dtype`` (``np.float64`` or
-    ``np.complex128``) that nothing else refers to.
+def _validated_samples(values, dtype: type, what: str) -> np.ndarray:
+    """``values``, given from outside, as a read-only 1-D array of ``dtype``
+    (``np.float64`` or ``np.complex128``) that nothing else refers to.
 
     The element type is read from the dtype alone: only integers, floats and,
     for ``np.complex128``, complex numbers pass, so ``bool``, strings and
     objects are refused without a pass over the samples.  The array is copied
     unless the conversion to ``dtype`` already made a new one, so later writes
     to the caller's array do not reach the result, and the caller's array
-    stays writeable.  ``owned`` marks an array the package has just computed
-    and nothing else refers to: it is not copied, and a non-finite value in
-    it is a result beyond the float range, a :class:`DomainError`.
+    stays writeable.  Arrays the package computes itself are adopted by
+    :func:`_adopt` instead.
     """
     try:
         arr = np.asarray(values)
@@ -128,13 +129,38 @@ def _validated_samples(
     arr = arr.astype(dtype, copy=False)
     # count_nonzero reads the boolean array faster than all().
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        if owned:
-            raise DomainError(f"{what} left the float range")
         raise UsageError(f"{what} must contain only finite values")
-    if not owned and (arr is values or arr.base is not None):
+    if arr is values or arr.base is not None:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _adopt(cls: type, what: str, values, *args, **fields):
+    """An instance of ``cls``, one of the package's frozen dataclasses whose
+    first field is an array, around ``values``: a new array of that field's
+    dtype that the package has just computed from values it holds, or a
+    function that computes it from ``args``.  The other fields are given by
+    name.
+
+    A function runs with numpy's overflow and invalid-value warnings off: an
+    overflow shows as a non-finite value.  A non-finite value is refused as a
+    :class:`DomainError` naming ``what``.  The array is marked read-only and
+    taken without a copy; ``cls.__post_init__`` does not run, since nothing
+    here came from outside.
+    """
+    if callable(values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = values(*args)
+    # count_nonzero reads the boolean array faster than all().
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        raise DomainError(f"{what} left the float range")
+    values.setflags(write=False)
+    fields[next(iter(cls.__dataclass_fields__))] = values
+    obj = object.__new__(cls)
+    # The instance is frozen; its fields go where object.__setattr__ puts them.
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -251,16 +277,6 @@ class ComplexSeq:
             self, "values", _validated_samples(self.values, np.complex128, "ComplexSeq")
         )
 
-    @classmethod
-    def _owning(cls, values: np.ndarray, what: str) -> ComplexSeq:
-        """A sequence from index 0 that takes ``values``, an array the
-        package has just computed, as its own: validated without a copy."""
-        seq = object.__new__(cls)
-        values = _validated_samples(values, np.complex128, what, owned=True)
-        object.__setattr__(seq, "values", values)
-        object.__setattr__(seq, "start", 0)
-        return seq
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -321,23 +337,14 @@ class ComplexFilter:
     def _owning(
         cls, taps: np.ndarray, pole=None, domain: Domain = Domain.BASEBAND
     ) -> ComplexFilter:
-        """A filter that takes ``taps``, a non-empty 1-D ``complex128`` array
-        the package has just computed, as its own: read-only and without a
-        copy, like :meth:`ComplexSeq._owning`.
+        """A filter adopted (see :func:`_adopt`) around ``taps``, a non-empty
+        1-D ``complex128`` array the package has just computed.
 
         The pole, a finite number the package computed, is converted and
-        checked for stability as the constructor does.  A non-finite tap is
-        a result beyond the float range, a :class:`DomainError`.
+        checked for stability as the constructor does.
         """
-        # count_nonzero reads a small boolean array faster than all().
-        if np.count_nonzero(np.isfinite(taps)) != len(taps):
-            raise DomainError("filter taps left the float range")
-        taps.setflags(write=False)
-        filt = object.__new__(cls)
-        object.__setattr__(filt, "taps", taps)
-        object.__setattr__(filt, "pole", None if pole is None else _stable_pole(pole))
-        object.__setattr__(filt, "domain", domain)
-        return filt
+        pole = None if pole is None else _stable_pole(pole)
+        return _adopt(cls, "filter taps", taps, pole=pole, domain=domain)
 
     @functools.cached_property
     def _real(self) -> bool:
@@ -392,7 +399,8 @@ class ComplexFilter:
         return num / (1.0 - self.pole * w)
 
     def impulse(self, count: int) -> np.ndarray:
-        """First ``count`` samples of the impulse response."""
+        """First ``count`` samples of the impulse response, read-only; a
+        response beyond the float range raises :class:`DomainError`."""
         if not _is_int(count) or count < 0:
             raise UsageError(
                 f"impulse length must be a non-negative integer, not {count!r}"
@@ -400,7 +408,9 @@ class ComplexFilter:
         x = np.zeros(count, dtype=np.complex128)
         if count > 0:
             x[0] = 1.0
-        return _filter_block(self, FilterState(self), x)
+        args = (self, FilterState(self), x)
+        seq = _adopt(ComplexSeq, "the impulse response", _filter_block, *args, start=0)
+        return seq.values
 
     @property
     def dc_gain(self) -> complex:
@@ -425,6 +435,7 @@ class FilterState:
     """
 
     def __init__(self, filt: ComplexFilter) -> None:
+        _check_type(filt, ComplexFilter, "the filter")
         self.filter = filt
         dtype = np.float64 if filt._real else np.complex128
         self._delay = np.zeros(len(filt.taps) - 1, dtype=dtype)
@@ -453,17 +464,24 @@ def _linear_filter():
     ``scipy.stats``, ``scipy.interpolate`` and ``scipy.optimize``, which the
     package does not use.  Finding scipy's directory does not import scipy.
     The extension registers itself in ``sys.modules`` as
-    ``scipy.signal._sigtools``, so a later ``import scipy.signal`` reuses it,
-    and a ``scipy.signal`` imported earlier hands back its own module.  The
+    ``scipy.signal._sigtools``; that entry is dropped again, since a later
+    ``import scipy.signal`` that found it there would not bind ``_sigtools``
+    as an attribute of ``scipy.signal``.  That import then loads the
+    extension afresh, around the same routine, and a ``scipy.signal``
+    imported earlier hands back its own module and keeps its entry.  The
     routine is private to scipy, so the tier-1 tests pin it bitwise against
     ``lfilter``, in either import order.
     """
+    name = "scipy.signal._sigtools"
+    registered = name in sys.modules
     scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
     spec = importlib.machinery.PathFinder.find_spec(
-        "scipy.signal._sigtools", [os.path.join(d, "signal") for d in scipy_dirs]
+        name, [os.path.join(d, "signal") for d in scipy_dirs]
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(name, None)
     return module._linear_filter
 
 
@@ -577,12 +595,19 @@ def filter_stream(
     order, every sample, so results are bit-reproducible across block splits
     and input delays), fed through ``y[k] = pole*y[k-1] + v[k]`` when the
     filter has a pole.  Initial conditions are whatever ``state`` holds (all
-    zeros after reset).  Output start index equals input start index.
+    zeros after reset).  Output start index equals input start index.  An
+    output beyond the float range raises :class:`DomainError`.
     """
     _check_type(x, (RealSeq, ComplexSeq), "filter_stream input")
+    _check_type(state, FilterState, "the filter state")
     if state.filter is not filt:
         raise UsageError("filter state belongs to a different filter")
-    return ComplexSeq(_filter_block(filt, state, x.values), x.start)
+
+    def block() -> np.ndarray:
+        # A real block through a real state comes back real.
+        return _filter_block(filt, state, x.values).astype(np.complex128, copy=False)
+
+    return _adopt(ComplexSeq, "the filter's output", block, start=x.start)
 
 
 def apply_filter(filt: ComplexFilter, x: RealSeq | ComplexSeq) -> ComplexSeq:
@@ -598,9 +623,11 @@ def decimate(x: RealSeq | ComplexSeq, factor: int, phase: int = 0) -> RealSeq | 
     re-indexed from zero: absolute timing of output sample j is
     ``(x.start + phase + j*factor)`` input periods.
     """
+    _check_type(x, (RealSeq, ComplexSeq), "decimate input")
     if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
     if not _is_int(phase) or not (0 <= phase < factor):
         raise UsageError(f"decimation phase must lie in [0, {factor})")
-    return type(x)(x.values[phase::factor], start=0)
+    kept = x.values[phase::factor].copy()
+    return _adopt(type(x), "decimate's output", kept, start=0)
 

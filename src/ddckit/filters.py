@@ -43,6 +43,7 @@ class NoiseAmplificationWarning(UserWarning):
 def amplifies_noise(carrier: CarrierConfig) -> bool:
     """True when two-sample reconstruction at this carrier has noise gain > 1
     (impulse energy 1/(2 sin^2) above unity)."""
+    _check_type(carrier, CarrierConfig, "the carrier")
     return abs(math.sin(carrier.phase_step)) < _SIN_STEP_WARN
 
 

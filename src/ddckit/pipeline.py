@@ -20,6 +20,7 @@ from .core import (
     FilterState,
     RealSeq,
     UsageError,
+    _adopt,
     _check_type,
     _filter_block,
     _is_int,
@@ -143,6 +144,9 @@ def make_chain(
     ``lp_bandwidth`` is in rad/s.  With ``DECIMATE_THEN_FILTER`` the low-pass
     runs at the decimated rate, so its pole is ``exp(-bw * decimation * h)``.
     """
+    _check_type(carrier, CarrierConfig, "the chain's carrier")
+    if not _is_int(decimation) or decimation < 1:
+        raise UsageError("decimation must be a positive integer")
     lowpass = None
     if lp_bandwidth is not None:
         period = carrier.sample_period
@@ -182,11 +186,14 @@ def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
     The mixer phasor is periodic in the carrier block, so it is read from a
     block-length table; this keeps the phase exact for arbitrarily large
     indices and places the conjugate image of a constant envelope exactly on
-    the double-frequency line.
+    the double-frequency line.  An output beyond the float range raises
+    :class:`~ddckit.core.DomainError`.
     """
     _check_type(y, (RealSeq, ComplexSeq), "mix_down input")
+    _check_type(carrier, CarrierConfig, "the carrier")
     table = _mixer_table(2.0 * carrier.mixer_phases(), len(y))
-    return ComplexSeq(_mix(y.values, y.start % carrier.samples, table), start=y.start)
+    args = (y.values, y.start % carrier.samples, table)
+    return _adopt(ComplexSeq, "the mixer's output", _mix, *args, start=y.start)
 
 
 @dataclass(frozen=True)
@@ -233,6 +240,7 @@ def transient_length(chain: DdcChain) -> int:
     contribute the horizon where the geometric settling falls below 1e-12,
     scaled back to the input rate when the stage runs after decimation.
     """
+    _check_type(chain, DdcChain, "the chain")
     total = 0
     for stage in chain._stages:
         span = len(stage.filter.taps) - 1 + _settling_horizon(stage.filter.pole)
@@ -242,6 +250,7 @@ def transient_length(chain: DdcChain) -> int:
 
 def group_delay_seconds(chain: DdcChain) -> float:
     """Sum of stage group delays at zero baseband frequency, in seconds."""
+    _check_type(chain, DdcChain, "the chain")
     h = chain.carrier.sample_period
     total = 0.0
     for stage in chain._stages:
@@ -274,10 +283,8 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
             f"input of {len(y)} samples is shorter than the chain transient "
             f"({transient_length(chain)} samples)"
         )
-    # An overflow shows as a non-finite output, which the wrap refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _run(chain, y.values, y.start)
-    return DdcOutput(ComplexSeq._owning(values, "the chain's output"), chain)
+    seq = _adopt(ComplexSeq, "the chain's output", _run, chain, y.values, y.start, start=0)
+    return DdcOutput(seq, chain)
 
 
 class _Stepper:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
-from .core import CarrierConfig, ComplexFilter, UsageError, _is_number
+from .core import CarrierConfig, ComplexFilter, UsageError, _check_type, _is_number
 from .filters import (
     make_2sr,
     make_dc_reject_passband,
@@ -73,6 +74,7 @@ BUILTIN_PRESETS = {
 
 
 def get_preset(name: str) -> Preset:
+    _check_type(name, str, "the preset name")
     try:
         return BUILTIN_PRESETS[name]
     except KeyError:
@@ -103,6 +105,8 @@ def parse_complex(text: str) -> complex:
 
 def parse_filter_spec(spec: str, carrier: CarrierConfig | None) -> list[ComplexFilter]:
     """Parse a ``+``-joined filter spec into a baseband cascade."""
+    _check_type(spec, str, "the filter spec")
+    _check_type(carrier, (CarrierConfig, type(None)), "the carrier")
     sample_period = carrier.sample_period if carrier is not None else 1.0
 
     def need_carrier(token: str) -> CarrierConfig:
@@ -146,6 +150,7 @@ _ORDER_NAMES = {order.value: order for order in ChainOrder}
 
 def load_preset_file(path: str) -> Preset:
     """Load a user preset from a ``key = value`` text file."""
+    _check_type(path, (str, os.PathLike), "the preset file path")
     values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:

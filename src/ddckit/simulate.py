@@ -29,6 +29,7 @@ from .core import (
     ComplexFilter,
     RealSeq,
     UsageError,
+    _adopt,
     _check_type,
     _is_int,
     _is_number,
@@ -102,6 +103,8 @@ class SampledEnvelope:
 
     def at(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
+        if k.dtype.kind not in "iu":
+            raise UsageError(f"sample indices must be integers, not {k.dtype}")
         if np.any(k >= len(self.values)) or np.any(k < 0):
             raise UsageError("sampled envelope is shorter than the request")
         return self.values[k]
@@ -188,21 +191,22 @@ def _adc_noise(sigma: float, seed: int, count: int) -> Iterator[np.ndarray]:
 
 def _adc_stream(
     spec: SignalSpec, carrier: CarrierConfig, count: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The samples of :func:`synthesize`, as a new array, and the noise in
+) -> tuple[RealSeq, list[np.ndarray]]:
+    """The stream of :func:`synthesize`, adopted from the samples it computes
+    (an overflow is a :class:`~ddckit.core.DomainError`), and the noise in
     them as the chunks it was drawn in (none without noise)."""
-    y = _clean_samples(spec, carrier, count)
     noise = []
     if spec.noise_sigma > 0.0:
         noise = list(_adc_noise(spec.noise_sigma, spec.seed, count))
-        for begin, chunk in zip(range(0, count, _CHUNK), noise):
-            y[begin : begin + len(chunk)] += chunk
-    return y, noise
+    args = (spec, carrier, count, noise)
+    return _adopt(RealSeq, "the synthesized stream", _samples, *args, start=0), noise
 
 
-def _clean_samples(spec: SignalSpec, carrier: CarrierConfig, count: int) -> np.ndarray:
-    """The deterministic part of a stream: every term of :func:`synthesize`
-    but the noise, as a new array."""
+def _samples(
+    spec: SignalSpec, carrier: CarrierConfig, count: int, noise: list[np.ndarray]
+) -> np.ndarray:
+    """Every term of :func:`synthesize`, with the ``noise`` chunks added
+    last, as a new array."""
     k = np.arange(count)
     carrier_pos = np.conj(carrier.mixer_phases())  # exp(+1j*step*k), one block
     y = (spec.envelope.at(k) * _mixer_table(carrier_pos, count)[:count]).real.copy()
@@ -211,6 +215,8 @@ def _clean_samples(spec: SignalSpec, carrier: CarrierConfig, count: int) -> np.n
         y += _mixer_table((complex(amplitude) * table).real, count)[:count]
     if spec.dc_offset:
         y += spec.dc_offset
+    for begin, chunk in zip(range(0, count, _CHUNK), noise):
+        y[begin : begin + len(chunk)] += chunk
     return y
 
 
@@ -222,8 +228,10 @@ def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
     are read from block-periodic tables, so tones land exactly on their grid
     frequencies regardless of length.
     """
+    _check_type(spec, SignalSpec, "the signal spec")
+    _check_type(carrier, CarrierConfig, "the carrier")
     _check_count(count)
-    return RealSeq(_adc_stream(spec, carrier, count)[0], start=0)
+    return _adc_stream(spec, carrier, count)[0]
 
 
 @dataclass(frozen=True)
@@ -280,6 +288,7 @@ def _noise_power(
 
 def analytic_noise_gain(chain: DdcChain) -> float:
     """Effective squared filter norm of the chain for white ADC noise."""
+    _check_type(chain, DdcChain, "the chain")
     stages = chain.baseband_stages()
     for stage in chain._stages:
         if stage.decimated:
@@ -345,11 +354,12 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     the whole stream; the empirical noise gain on a second pass, over the
     stream's ADC noise alone, through the noise study's output-power helper.
     The noise is drawn once, for both runs."""
+    _check_type(spec, SignalSpec, "the signal spec")
+    _check_type(chain, DdcChain, "the chain")
     _check_count(count)
     settle = _check_experiment_length(chain, count)
     y, noise = _adc_stream(spec, chain.carrier, count)
-    # The stream carries the spec's amplitudes, so it enters through run.
-    out = run(chain, RealSeq(y))
+    out = run(chain, y)
     del y
     k_out = chain.decimation_phase + np.arange(len(out.seq)) * chain.decimation
     expected = spec.envelope.at(k_out)
@@ -405,6 +415,9 @@ def noise_gain_study(
     once.  By linearity, only ``spec.noise_sigma`` affects the estimate: the
     envelope, harmonics, DC offset and ``spec.seed`` do not.
     """
+    _check_type(spec, SignalSpec, "the signal spec")
+    _check_type(chain, DdcChain, "the chain")
+    _check_type(seeds, Sequence, "the noise study's seeds")
     _check_count(count)
     if spec.noise_sigma <= 0.0:
         raise UsageError("noise study needs noise_sigma > 0")
@@ -446,7 +459,7 @@ def harmonic_bias(
     aliased onto zero baseband frequency (plus float dust).
     """
     chain = DdcChain(carrier, ddc_filter)
-    spec = SignalSpec(harmonics=((order, complex(amplitude)),))
+    spec = SignalSpec(harmonics=((order, amplitude),))
     out = run(chain, synthesize(spec, carrier, count))
     j0 = _first_clean_output(chain)
     usable = ((len(out.seq) - j0) // carrier.samples) * carrier.samples
@@ -464,6 +477,7 @@ def iq_harmonic_bias(
     the conjugated harmonic amplitude rather than float dust."""
     if carrier is None:
         carrier = CarrierConfig(1, 4)
+    _check_type(carrier, CarrierConfig, "the carrier")
     if carrier.samples != 4 * carrier.periods:
         raise UsageError("IQ harmonic bias requires a quarter-rate carrier")
     return harmonic_bias(carrier, make_iq(carrier), 3, amplitude, count)

@@ -101,15 +101,15 @@ def test_regular_grid_checks_its_arguments_before_the_lookup():
 
 
 def test_regular_grids_kept_are_bounded():
-    kept = dk.analysis._REGULAR_GRIDS
+    kept = dk.analysis._regular_grid
     grids = [dk.FreqGrid.regular(points) for points in range(1, 41)]
-    assert len(kept) == dk.analysis._REGULAR_GRIDS_KEPT
+    assert kept.cache_info().currsize == kept.cache_info().maxsize == 8
     # The latest requests are the ones kept.
     assert dk.FreqGrid.regular(40) is grids[-1]
     assert dk.FreqGrid.regular(1) is not grids[0]
     large = dk.analysis._REGULAR_POINTS_KEPT + 1
     assert dk.FreqGrid.regular(large) is not dk.FreqGrid.regular(large)
-    assert len(kept) == dk.analysis._REGULAR_GRIDS_KEPT
+    assert kept.cache_info().currsize == 8
 
 
 # ----------------------------------------------------------- freq_response

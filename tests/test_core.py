@@ -1,6 +1,7 @@
 """Core types: carrier config, sequences, streaming filters, decimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -444,3 +445,95 @@ def test_objects_holding_arrays_compare_and_hash_by_identity(build, stored):
     assert (first != second) is True
     assert hash(first) == hash(first)
     assert len({first, second, first}) == 2
+
+
+# ------------------------------------------------------------ wrong types
+
+_C733 = dk.CarrierConfig(7, 33)
+_CHAIN = dk.make_chain(_C733, dk.make_2sr(_C733))
+_SEQ = dk.RealSeq(np.ones(100))
+_NOISY = dk.SignalSpec(noise_sigma=0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.run(None, _SEQ),
+        lambda: dk.transient_length(None),
+        lambda: dk.group_delay_seconds("x"),
+        lambda: dk.mix_down(_SEQ, None),
+        lambda: dk.FilterState(None),
+        lambda: dk.apply_filter(None, _SEQ),
+        lambda: dk.filter_stream(_CHAIN.ddc, None, _SEQ),
+        lambda: dk.decimate(None, 2),
+        lambda: dk.synthesize(None, _C733, 10),
+        lambda: dk.synthesize(_NOISY, None, 10),
+        lambda: dk.run_experiment(None, _CHAIN, 5000),
+        lambda: dk.run_experiment(_NOISY, None, 5000),
+        lambda: dk.noise_gain_study(None, _CHAIN, 5000, [1, 2]),
+        lambda: dk.noise_gain_study(_NOISY, None, 5000, [1, 2]),
+        lambda: dk.noise_gain_study(_NOISY, _CHAIN, 5000, None),
+        lambda: dk.noise_gain_study(_NOISY, _CHAIN, 5000, (s for s in [1, 2])),
+        lambda: dk.analytic_noise_gain(None),
+        lambda: dk.SampledEnvelope([1.0, 2.0]).at(np.array([0.5])),
+        lambda: dk.h2_norm_sq(None),
+        lambda: dk.h2_norm_sq(3),
+        lambda: dk.multirate_norm_sq(None, dk.make_lp(0.1, 1.0), 2),
+        lambda: dk.tune_lp_bandwidth(None, -5.0, 1.0),
+        lambda: dk.phase_metrics(None, 0.0, 1.0),
+        lambda: dk.freq_response(3, np.array([0.0])),
+        lambda: dk.alias_map(3, None),
+        lambda: dk.amplifies_noise(None),
+        lambda: dk.reduce_angle("x"),
+        lambda: dk.parse_filter_spec(None, _C733),
+        lambda: dk.parse_filter_spec("2sr", "7/33"),
+        lambda: dk.get_preset([]),
+        lambda: dk.load_preset_file(None),
+        lambda: dk.iq_harmonic_bias(0.01, 4000, carrier="1/4"),
+        lambda: dk.iq_harmonic_bias("0.01", 4000),
+        lambda: dk.harmonic_bias(_C733, _CHAIN.ddc, 3, "x", 1000),
+        lambda: dk.make_chain(None, _CHAIN.ddc, lp_bandwidth=0.1),
+        lambda: dk.make_chain(
+            _C733, _CHAIN.ddc, 0.1, decimation="2", order=dk.ChainOrder.DECIMATE_THEN_FILTER
+        ),
+    ],
+    ids=[
+        "run-chain", "transient-chain", "group-delay-chain", "mix-carrier",
+        "state-filter", "apply-filter", "stream-state", "decimate-input",
+        "synthesize-spec", "synthesize-carrier", "experiment-spec",
+        "experiment-chain", "study-spec", "study-chain", "study-seeds-none",
+        "study-seeds-generator", "analytic-gain-chain", "sampled-float-index",
+        "h2-none", "h2-int", "multirate-none", "tune-none", "phase-none",
+        "freq-response-int", "alias-carrier", "amplifies-carrier", "reduce-text",
+        "spec-none", "spec-carrier-text", "preset-list", "preset-file-none",
+        "iq-bias-carrier", "iq-bias-text-amplitude", "harmonic-bias-text-amplitude",
+        "make-chain-carrier", "make-chain-text-decimation",
+    ],
+)
+def test_a_wrong_type_is_a_usage_error(call):
+    with pytest.raises(dk.UsageError):
+        call()
+
+
+# ------------------------------------------------- results out of range
+
+_HUGE = dk.ComplexFilter([1e308, 1e308])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.filter_stream(_HUGE, dk.FilterState(_HUGE), dk.RealSeq([1.0, 1.0])),
+        lambda: dk.apply_filter(_HUGE, dk.ComplexSeq([1.0, 1.0])),
+        lambda: dk.mix_down(dk.RealSeq(np.full(4, 1e308)), _C733),
+        lambda: dk.ComplexFilter([1e308, 1e308], pole=0.999).impulse(3),
+    ],
+    ids=["filter-stream", "apply-filter", "mix-down", "impulse"],
+)
+def test_a_result_beyond_float_range_is_a_domain_error(call):
+    # Finite inputs whose result is not: the fault is the result's range,
+    # not the caller's values, and numpy stays quiet.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dk.DomainError, match="left the float range"):
+            call()

@@ -265,6 +265,45 @@ def _count_validations(monkeypatch):
     return validations
 
 
+_ADOPTING_CARRIER = dk.CarrierConfig(7, 33)
+_ADOPTING_CHAIN = dk.make_chain(
+    _ADOPTING_CARRIER, dk.make_2sr(_ADOPTING_CARRIER), lp_bandwidth=0.1, decimation=3
+)
+_ADOPTING_INPUT = dk.RealSeq(np.random.default_rng(4).standard_normal(600), start=9)
+_ADOPTING_SPEC = dk.SignalSpec(noise_sigma=0.1, seed=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dk.run(_ADOPTING_CHAIN, _ADOPTING_INPUT).seq,
+        lambda: dk.synthesize(_ADOPTING_SPEC, _ADOPTING_CARRIER, 600),
+        lambda: dk.filter_stream(
+            _ADOPTING_CHAIN.lowpass, dk.FilterState(_ADOPTING_CHAIN.lowpass), _ADOPTING_INPUT
+        ),
+        lambda: dk.apply_filter(_ADOPTING_CHAIN.ddc, _ADOPTING_INPUT),
+        lambda: dk.mix_down(_ADOPTING_INPUT, _ADOPTING_CARRIER),
+        lambda: dk.decimate(_ADOPTING_INPUT, 3, 1),
+        lambda: _ADOPTING_CHAIN.lowpass.impulse(8),
+    ],
+    ids=["run", "synthesize", "filter-stream", "apply-filter", "mix-down", "decimate",
+         "impulse"],
+)
+def test_package_results_are_adopted_not_validated(call, monkeypatch):
+    # Outside values are validated where they enter; what the package
+    # computes from them is only adopted: read-only, not validated again.
+    validations = _count_validations(monkeypatch)
+    result = call()
+    assert len(validations) == 0
+    assert not getattr(result, "values", result).flags.writeable
+
+
+def test_an_experiment_validates_nothing_it_computes(monkeypatch):
+    validations = _count_validations(monkeypatch)
+    dk.run_experiment(_ADOPTING_SPEC, _ADOPTING_CHAIN, 20_000)
+    assert len(validations) == 0
+
+
 @pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chain_shapes()))
 def test_chain_shape_matches_its_explicit_stages(
     pre_mixer, lowpass, decimation, phase, monkeypatch
@@ -286,7 +325,7 @@ def test_chain_shape_matches_its_explicit_stages(
     )
     y = dk.RealSeq(np.random.default_rng(11).standard_normal(3000), start=5)
     z = _explicit_stages(chain, y)
-    # The input was validated when it was built; run validates only its output.
+    # The input was validated when it was built; run adopts its output.
     validations = _count_validations(monkeypatch)
     # The output's timing is read from the chain on demand, not on every block.
     timing_calls = {"group_delay_seconds": 0, "phase_metrics": 0}
@@ -298,7 +337,7 @@ def test_chain_shape_matches_its_explicit_stages(
 
         monkeypatch.setattr(module, name, counting)
     out = dk.run(chain, y)
-    assert len(validations) == 1
+    assert len(validations) == 0
     assert timing_calls == {"group_delay_seconds": 0, "phase_metrics": 0}
     assert out.seq.values.tobytes() == z.values.tobytes()
     assert out.seq.start == 0
@@ -367,7 +406,7 @@ def test_chunked_run_matches_whole_stages(pre_mixer, lowpass, decimation, phase,
     z = _explicit_stages(chain, y)
     validations = _count_validations(monkeypatch)
     out = dk.run(chain, y)
-    assert len(validations) == 1
+    assert len(validations) == 0
     assert out.seq.values.tobytes() == z.values.tobytes()
 
 
@@ -391,7 +430,7 @@ def test_run_takes_the_output_its_kernel_built_without_a_copy(count, monkeypatch
     y = dk.RealSeq(np.random.default_rng(2).standard_normal(count))
     validations = _count_validations(monkeypatch)
     out = dk.run(chain, y)
-    assert len(validations) == 1
+    assert len(validations) == 0
     assert out.seq.values is built[0]
     assert not out.seq.values.flags.writeable
     assert out.seq.start == 0
