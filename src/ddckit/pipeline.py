@@ -4,6 +4,7 @@ envelope filter, optional extra low-pass, and decimation in either order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,18 @@ class _Stage(NamedTuple):
     decimated: bool
 
 
+class _Plan(NamedTuple):
+    """A chain's filters in the groups one pass runs them in: on the raw ADC
+    stream, after the mixer, the last one before the decimator, which
+    computes only the samples the decimator keeps (unless it has a pole),
+    and after the decimator."""
+
+    passband: tuple[ComplexFilter, ...]
+    before: tuple[ComplexFilter, ...]
+    last: ComplexFilter
+    after: tuple[ComplexFilter, ...]
+
+
 @dataclass(frozen=True)
 class DdcChain:
     """An immutable downconversion pipeline description.
@@ -66,7 +79,9 @@ class DdcChain:
     processing order, each with its baseband form and its place relative to
     the decimator.  :func:`run`, :func:`transient_length`,
     :func:`group_delay_seconds`, :meth:`baseband_stages` and
-    ``analytic_noise_gain`` all read that one description.
+    ``analytic_noise_gain`` all read that one description.  The groups a
+    pass runs the filters in and the transient length are derived from it
+    once too, so a block pays only for its own arithmetic.
     """
 
     carrier: CarrierConfig
@@ -103,16 +118,26 @@ class DdcChain:
             stages.append(_Stage(self.pre_mixer, baseband, False))
         stages.append(_Stage(self.ddc, self.ddc, False))
         if self.lowpass is not None:
-            after = self.order is ChainOrder.DECIMATE_THEN_FILTER
-            stages.append(_Stage(self.lowpass, self.lowpass, after))
+            lowrate = self.order is ChainOrder.DECIMATE_THEN_FILTER
+            stages.append(_Stage(self.lowpass, self.lowpass, lowrate))
+        passband, before, after = [], [], []
+        transient = 0
+        for stage in stages:
+            if stage.filter.domain is Domain.PASSBAND:
+                passband.append(stage.filter)
+            else:
+                (after if stage.decimated else before).append(stage.filter)
+            span = len(stage.filter.taps) - 1 + _settling_horizon(stage.filter.pole)
+            transient += span * self.decimation if stage.decimated else span
+        # The envelope filter always runs before the decimator, so ``before``
+        # is never empty.
+        *before, last = before
         # Derived from the fields, so kept out of them (and out of __init__,
         # repr and equality); frozen, hence set through object.__setattr__.
         object.__setattr__(self, "_stages", tuple(stages))
-        # One carrier block of the mixer's phasors, doubled (exactly, so
-        # ``values * mixer`` is bitwise ``2.0 * values * phasors``).
-        mixer = 2.0 * self.carrier.mixer_phases()
-        mixer.setflags(write=False)
-        object.__setattr__(self, "_mixer", mixer)
+        plan = _Plan(tuple(passband), tuple(before), last, tuple(after))
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_transient", transient)
 
     @property
     def output_period(self) -> float:
@@ -171,6 +196,20 @@ def _mixer_table(block: np.ndarray, count: int) -> np.ndarray:
     of a gather ``block[k % len(block)]``."""
     blocks = -(-(count + len(block) - 1) // len(block))
     return block[np.newaxis].repeat(blocks, axis=0).ravel()
+
+
+@functools.lru_cache(maxsize=8)
+def _chunk_mixer(periods: int, samples: int) -> np.ndarray:
+    """The doubled mixer phasors of the carrier ratio ``periods/samples``
+    (exactly doubled, so ``values * table`` is bitwise ``2.0 * values *
+    phasors``), tiled so that a whole chunk can be read from any offset
+    within the first block: one read-only table that every chain pass of
+    that ratio slices.  It is built on first use, and the last eight ratios
+    are kept."""
+    block = 2.0 * CarrierConfig(periods, samples).mixer_phases()
+    table = _mixer_table(block, _CHUNK)
+    table.setflags(write=False)
+    return table
 
 
 def _mix(values: np.ndarray, offset: int, table: np.ndarray) -> np.ndarray:
@@ -241,11 +280,7 @@ def transient_length(chain: DdcChain) -> int:
     scaled back to the input rate when the stage runs after decimation.
     """
     _check_type(chain, DdcChain, "the chain")
-    total = 0
-    for stage in chain._stages:
-        span = len(stage.filter.taps) - 1 + _settling_horizon(stage.filter.pole)
-        total += span * chain.decimation if stage.decimated else span
-    return total
+    return chain._transient
 
 
 def group_delay_seconds(chain: DdcChain) -> float:
@@ -278,10 +313,11 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     from the chain on demand, so a block costs only its stages' arithmetic.
     """
     _check_type(y, RealSeq, "run's ADC input")
-    if len(y) < max(1, transient_length(chain)):
+    transient = transient_length(chain)
+    if len(y) < max(1, transient):
         raise UsageError(
             f"input of {len(y)} samples is shorter than the chain transient "
-            f"({transient_length(chain)} samples)"
+            f"({transient} samples)"
         )
     seq = _adopt(ComplexSeq, "the chain's output", _run, chain, y.values, y.start, start=0)
     return DdcOutput(seq, chain)
@@ -292,33 +328,27 @@ class _Stepper:
     most :data:`_CHUNK` samples.
 
     It holds one :class:`~ddckit.core.FilterState` per stage, carried from
-    chunk to chunk, the absolute index of the next input sample, the
-    decimator's phase relative to the next chunk, and the chain's doubled
-    mixer phasors tiled past one chunk, so each chunk is mixed by one
-    contiguous slice.  The last stage before the decimator computes only the
+    chunk to chunk, the absolute index of the next input sample and the
+    decimator's phase relative to the next chunk.  The stages come in the
+    groups of the chain's plan, and each chunk is mixed by one contiguous
+    slice of the table of doubled mixer phasors that every pass of the
+    carrier ratio shares (:func:`_chunk_mixer`); so a pass builds only its
+    filter states.  The last stage before the decimator computes only the
     samples the decimator keeps (unless it has a pole).  The filter kernels
     sum in the same order whatever the split, so the outputs of all chunks,
     in turn, are bitwise those of running each whole stage in turn.  This is
     the seam for a streamable chain's state (ROADMAP item 4).
     """
 
-    def __init__(self, chain: DdcChain, start: int, count: int) -> None:
-        """A pass over ``count`` input samples, the first at absolute index
-        ``start``."""
-        passband, before, after = [], [], []
-        for stage in chain._stages:
-            if stage.filter.domain is Domain.PASSBAND:
-                group = passband
-            else:
-                group = after if stage.decimated else before
-            group.append((stage.filter, FilterState(stage.filter)))
-        # The envelope filter always runs before the decimator, so ``before``
-        # is never empty; its last stage computes only the samples the
-        # decimator keeps, input samples phase, phase + factor, ...
-        *before, self._last = before
-        self._passband, self._before, self._after = passband, before, after
+    def __init__(self, chain: DdcChain, start: int) -> None:
+        """A pass whose first input sample sits at absolute index ``start``."""
+        plan = chain._plan
+        self._passband = [(filt, FilterState(filt)) for filt in plan.passband]
+        self._before = [(filt, FilterState(filt)) for filt in plan.before]
+        self._last = (plan.last, FilterState(plan.last))
+        self._after = [(filt, FilterState(filt)) for filt in plan.after]
         self._samples = chain.carrier.samples
-        self._table = _mixer_table(chain._mixer, min(count, _CHUNK))
+        self._table = _chunk_mixer(chain.carrier.periods, chain.carrier.samples)
         self._factor = chain.decimation
         self._phase = chain.decimation_phase
         self.index = start
@@ -348,7 +378,7 @@ def _run(chain: DdcChain, values: np.ndarray, start: int) -> np.ndarray:
     The input goes through one :class:`_Stepper` pass in cache-sized chunks,
     whose outputs are joined.
     """
-    step = _Stepper(chain, start, len(values)).step
+    step = _Stepper(chain, start).step
     parts = [
         step(values[begin : begin + _CHUNK]) for begin in range(0, len(values), _CHUNK)
     ]

@@ -47,7 +47,8 @@ class ConstantEnvelope:
         _check_amplitudes(self.value)
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        return np.full(len(k), complex(self.value), dtype=np.complex128)
+        k = _sample_indices(k)
+        return np.full(k.shape, complex(self.value), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class StepEnvelope:
 
     def at(self, k: np.ndarray) -> np.ndarray:
         return np.where(
-            np.asarray(k) < self.step_index,
+            _sample_indices(k) < self.step_index,
             complex(self.before),
             complex(self.after),
         ).astype(np.complex128)
@@ -73,7 +74,8 @@ class StepEnvelope:
 
 @dataclass(frozen=True)
 class PhaseRampEnvelope:
-    """Constant amplitude with linearly advancing phase (a detuned carrier)."""
+    """Constant amplitude with linearly advancing phase (a detuned carrier),
+    at integer sample indices."""
 
     amplitude: complex = 1.0
     rate: float = 0.0  # rad per input sample
@@ -84,7 +86,7 @@ class PhaseRampEnvelope:
             raise UsageError("rate must be a finite real number")
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        return complex(self.amplitude) * np.exp(1j * self.rate * np.asarray(k))
+        return complex(self.amplitude) * np.exp(1j * self.rate * _sample_indices(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +104,7 @@ class SampledEnvelope:
         )
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k)
-        if k.dtype.kind not in "iu":
-            raise UsageError(f"sample indices must be integers, not {k.dtype}")
+        k = _sample_indices(k)
         if np.any(k >= len(self.values)) or np.any(k < 0):
             raise UsageError("sampled envelope is shorter than the request")
         return self.values[k]
@@ -159,6 +159,18 @@ class SignalSpec:
         if len(set(orders)) != len(orders):
             raise UsageError("harmonic orders must be distinct")
         _check_seed(self.seed)
+
+
+def _sample_indices(k) -> np.ndarray:
+    """``k``, the absolute sample indices an envelope is asked for, as an
+    array of integers; anything else is a :class:`~ddckit.core.UsageError`."""
+    try:
+        k = np.asarray(k)
+    except (TypeError, ValueError):  # ragged nesting
+        raise UsageError("sample indices must be integers") from None
+    if k.dtype.kind not in "iu":
+        raise UsageError(f"sample indices must be integers, not {k.dtype}")
+    return k
 
 
 def _check_amplitudes(*values) -> None:
@@ -272,9 +284,14 @@ def _noise_power(
     as it is read, the whole noise is built.  The noise is the package's
     own, so it is not validated again.  The caller has checked that the run
     has post-transient output."""
+    # The stepper first: the first pass over a carrier ratio builds the mixer
+    # table that is kept, and built before the power array it sits below it
+    # in the heap, so the array's memory can go back to the system once it
+    # is freed.  Built after it (glibc), the tables raised the peak RSS of
+    # the ten AC-7 noise studies from 41.5 to 45.7 MB instead of 42.5 MB.
+    step = _Stepper(chain, 0).step
     outputs = len(range(chain.decimation_phase, count, chain.decimation))
     power = np.empty(outputs - j0)
-    step = _Stepper(chain, 0, count).step
     end = -j0  # where the next chunk's last output goes in ``power``, plus 1
     for chunk in noise:
         z = step(chunk)

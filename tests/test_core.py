@@ -258,6 +258,135 @@ def test_kept_outputs_are_the_full_outputs_sliced_bitwise(taps, data, split, fir
         assert kept_state._carry.tobytes() == full_state._carry.tobytes()
 
 
+def _tap_loop(taps, delay, x, first, step):
+    """The FIR kernel spelled out tap by tap: the outputs ``first::step`` of
+    the block ``x`` after the delay line ``delay``, each summed over the taps
+    in ascending order, and the delay line left behind."""
+    history = np.concatenate([delay, x])
+    count, length = len(x), len(taps)
+    v = taps[0] * history[length - 1 + first :: step]
+    for m in range(1, length):
+        lag = length - 1 - m
+        v = v + taps[m] * history[lag + first : lag + count : step]
+    return v, history[count:]
+
+
+def _assert_blocks_are_the_tap_loop(filt, blocks, first, step):
+    """Run ``blocks`` in turn through one state of ``filt``, keeping the
+    outputs ``first::step`` of each, and pin every output and delay line,
+    dtypes included, to :func:`_tap_loop`.  A real block through a real
+    state runs the real parts of the taps."""
+    state = dk.FilterState(filt)
+    for x in blocks:
+        real = x.dtype == np.float64 and state._delay.dtype == np.float64
+        taps = filt.taps.real if real else filt.taps
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, delay = _tap_loop(taps, state._delay, x, first, step)
+            got = dk.core._filter_block(filt, state, x, (first, step))
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert state._delay.dtype == delay.dtype
+        assert state._delay.tobytes() == delay.tobytes()
+
+
+# Parts from the whole range the kernel sees: both signed zeros and
+# subnormals, whose products can underflow to a zero of either sign.
+_part = st.floats(-8.0, 8.0) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310])
+_parts = st.lists(st.tuples(_part, _part), max_size=60)
+
+
+def _complex(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
+@given(
+    taps=st.lists(st.tuples(_part, _part), min_size=1, max_size=40),
+    real_taps=st.booleans(),
+    blocks=st.lists(st.tuples(_parts, st.booleans()), min_size=1, max_size=3),
+    scale=st.sampled_from([1e-310, 1.0, 1e300]),
+    step=st.integers(min_value=1, max_value=45),
+    first=st.integers(min_value=0, max_value=44),
+)
+@settings(max_examples=100, deadline=None)
+# One kept output of 40 taps, complex and real: numpy's pairwise summation
+# would reorder them.
+@example(
+    taps=[(1.0 + m / 7, -0.5) for m in range(40)], real_taps=False,
+    blocks=[([(3.0 ** (m % 9), -(2.0 ** m)) for m in range(30)], True)],
+    scale=1.0, step=45, first=29,
+)
+@example(
+    taps=[(1.0 + m / 7, 0.0) for m in range(40)], real_taps=True,
+    blocks=[([((-3.0) ** (m % 9) + 0.1, 0.0) for m in range(30)], False)],
+    scale=1.0, step=45, first=29,
+)
+# Complex blocks through a real state, with signed zeros at two scales.
+@example(
+    taps=[(0.0, 0.0), (-0.0, 0.0), (2.0, 0.0)] * 4, real_taps=True,
+    blocks=[([(-0.0, 0.0)] * 20, False), ([(-0.0, -0.0), (1e-310, 0.0)] * 10, True)],
+    scale=1e300, step=3, first=1,
+)
+# Sums of -0.0 products: starting the sum from +0.0 would flip their sign.
+@example(
+    taps=[(1.0, 0.0), (2.0, 0.0)], real_taps=True, blocks=[([(-0.0, 0.0)] * 6, False)],
+    scale=1.0, step=2, first=0,
+)
+def test_fir_blocks_are_the_tap_loop_bitwise(taps, real_taps, blocks, scale, step, first):
+    # The kernel sums each kept output over up to 40 taps in one reduction;
+    # every output, kept or full, and every delay line must be the tap
+    # loop's, whatever the block split, the signs of zeros or the scale.
+    taps = _complex(taps)
+    if real_taps:
+        taps = np.concatenate([[abs(taps[0].real)], taps[1:].real]).astype(np.complex128)
+    filt = dk.ComplexFilter(taps)
+    assert filt._real or not real_taps
+    xs = [_complex(pairs) * scale if cplx else _complex(pairs).real * scale for pairs, cplx in blocks]
+    _assert_blocks_are_the_tap_loop(filt, xs, first % step, step)
+    _assert_blocks_are_the_tap_loop(filt, xs, 0, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fir_block_sweep_is_the_tap_loop_bitwise(seed):
+    # Seeded random blocks over the shapes where a reordered tap sum could
+    # show: 1-40 taps, steps 1-29 (often above the tap count), one kept
+    # output, signed zeros, subnormal and huge scales, real and complex taps
+    # and blocks, and complex blocks through real states.
+    rng = np.random.default_rng(seed)
+
+    def parts(count, scale):
+        x = rng.uniform(-8.0, 8.0, count) * scale
+        special = rng.random(count) < 0.25
+        x[special] = rng.choice([0.0, -0.0, 5e-324, -1e-310], special.sum())
+        return x
+
+    seen = {"one kept output, > 8 taps": 0, "step > taps": 0, "complex through a real state": 0}
+    for _ in range(500):
+        length = int(rng.integers(1, 41))
+        step = int(rng.integers(1, 30))
+        first = int(rng.integers(0, step))
+        scale = float(rng.choice([1e-310, 1.0, 1e300]))
+        real_taps = rng.random() < 0.4
+        taps = parts(length, 1.0).astype(np.complex128)
+        if real_taps:
+            taps[0] = abs(taps[0])
+        else:
+            taps += 1j * parts(length, 1.0)
+        filt = dk.ComplexFilter(taps)
+        blocks = []
+        for _ in range(3):
+            count = int(rng.integers(0, 120))
+            x = parts(count, scale)
+            if rng.random() < 0.6:
+                x = x + 1j * parts(count, scale)
+                real_state = filt._real and not any(map(np.iscomplexobj, blocks))
+                seen["complex through a real state"] += bool(blocks) and real_state
+            blocks.append(x)
+            seen["one kept output, > 8 taps"] += len(range(first, count, step)) == 1 and length > 8
+        seen["step > taps"] += step > length
+        _assert_blocks_are_the_tap_loop(filt, blocks, first, step)
+    assert min(seen.values()) > 0, seen
+
+
 @pytest.mark.parametrize("pole", [0.99999, 0.99999j, 0.99999 * np.exp(-0.7j)])
 def test_chunked_pole_matches_one_shot_bitwise(pole):
     # lfilter carries its state through zi, so splitting a long stream at

@@ -56,7 +56,7 @@ def test_mix_down_is_start_index_aware():
 def test_mixer_is_the_doubled_phasor_at_the_absolute_index(start):
     # Pinned to the literal formula, not to the tiled table the kernel
     # slices: through mix_down on real and complex samples spanning several
-    # chunks, and through the kernel on one chunk with a chain's table.
+    # chunks, and through the kernel on one chunk with the table chains share.
     carrier = dk.CarrierConfig(7, 33)
     count = 2 * dk.pipeline._CHUNK + 777
     rng = np.random.default_rng(start)
@@ -66,11 +66,38 @@ def test_mixer_is_the_doubled_phasor_at_the_absolute_index(start):
     for values, seq in ((real, dk.RealSeq(real, start)), (cplx, dk.ComplexSeq(cplx, start))):
         expected = 2.0 * values * phasors
         assert dk.mix_down(seq, carrier).values.tobytes() == expected.tobytes()
-    chain = dk.DdcChain(carrier, dk.make_ma(3))
     chunk = real[: dk.pipeline._CHUNK]
-    table = dk.pipeline._mixer_table(chain._mixer, len(chunk))
+    table = dk.pipeline._chunk_mixer(carrier.periods, carrier.samples)
     mixed = dk.pipeline._mix(chunk, start % carrier.samples, table)
     assert mixed.tobytes() == (2.0 * chunk * phasors[: len(chunk)]).tobytes()
+
+
+def test_chains_of_one_carrier_ratio_share_one_read_only_mixer_table():
+    # Building a chain builds no table; the first pass over a carrier ratio
+    # builds one, read-only, which every later pass of that ratio, at any
+    # sample rate, in run or in a noise study, slices.
+    tables = dk.pipeline._chunk_mixer
+    tables.cache_clear()
+    fast, slow = dk.CarrierConfig(7, 33, 94.29e6), dk.CarrierConfig(7, 33, 1.0)
+    chains = [
+        dk.make_chain(fast, dk.make_2sr(fast)),
+        dk.make_chain(slow, dk.make_ma(11), lp_bandwidth=0.1, decimation=3),
+        dk.DdcChain(slow, dk.make_2sr(slow), pre_mixer=dk.make_dc_reject_passband(15 / 16)),
+    ]
+    assert tables.cache_info().currsize == 0
+    for chain in chains:
+        dk.run(chain, dk.RealSeq(np.ones(2000), start=40_000_007))
+    spec = dk.SignalSpec(noise_sigma=1.0)
+    dk.noise_gain_study(spec, chains[1], 2 * dk.pipeline._CHUNK + 5, [1, 2])
+    assert tables.cache_info().currsize == 1
+    table = tables(7, 33)
+    assert all(dk.pipeline._Stepper(chain, 0)._table is table for chain in chains)
+    assert not table.flags.writeable
+    assert len(table) >= dk.pipeline._CHUNK + 32 and len(table) % 33 == 0
+    assert table[:33].tobytes() == (2.0 * fast.mixer_phases()).tobytes()
+    other = dk.CarrierConfig(3, 14)
+    assert dk.pipeline._Stepper(dk.DdcChain(other, dk.make_ma(14)), 0)._table is not table
+    assert tables.cache_info().currsize == 2
 
 
 # ------------------------------------------------------------- chain rules
@@ -476,6 +503,33 @@ def test_transient_length_values():
         carrier, dk.make_2sr(carrier), lp_bandwidth=-math.log(0.9) / carrier.sample_period
     )
     assert dk.transient_length(chain) == 1 + 263
+
+
+@pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chunked_shapes()))
+@pytest.mark.parametrize("lp_pole", [0.9, 0.0])
+def test_transient_length_is_the_sum_over_stages(pre_mixer, lowpass, decimation, phase, lp_pole):
+    # Derived once, when the chain is built: each stage's memory (taps minus
+    # one) plus the settling horizon of its pole, scaled back to the input
+    # rate after the decimator; a zero pole settles at once.
+    carrier = dk.CarrierConfig(7, 33)
+    after = lowpass == "after"
+    chain = dk.DdcChain(
+        carrier,
+        dk.make_ma(14) if decimation == 14 else dk.make_2sr(carrier),
+        lowpass=None if lowpass is None else dk.ComplexFilter([1.0 - lp_pole], pole=lp_pole),
+        pre_mixer=None if pre_mixer is None else dk.make_dc_reject_passband(pre_mixer),
+        decimation=decimation,
+        decimation_phase=phase,
+        order=dk.ChainOrder.DECIMATE_THEN_FILTER if after else dk.ChainOrder.FILTER_THEN_DECIMATE,
+    )
+    stages = [(chain.pre_mixer, 1), (chain.ddc, 1), (chain.lowpass, decimation if after else 1)]
+    memory = 0
+    for filt, rate in stages:
+        if filt is not None:
+            pole = abs(filt.pole or 0)
+            horizon = 0 if pole == 0 else math.ceil(math.log(1e-12) / math.log(pole))
+            memory += (len(filt.taps) - 1 + horizon) * rate
+    assert dk.transient_length(chain) == memory
 
 
 def test_transient_scales_lowrate_settling_back_to_input_rate():

@@ -62,7 +62,7 @@ def _reference_chain(chain, x, start):
 
 
 def _run_in_blocks(chain, x, start, cuts):
-    stepper = pipeline._Stepper(chain, start, len(x))
+    stepper = pipeline._Stepper(chain, start)
     bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
     parts = [stepper.step(x[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
     return np.concatenate(parts)
@@ -226,9 +226,10 @@ def test_the_real_pre_mixer_stage_hands_the_mixer_its_exact_input(data):
     assert pipeline._mix(out, 5, table).tobytes() == pipeline._mix(expected, 5, table).tobytes()
 
 
-# Both import guards run in one fresh interpreter.  The design queries and
+# The import guards run in one fresh interpreter.  The design queries and
 # the FIR-only run, which must load nothing outside ddckit after the CLI,
-# come first; then a pole must add no module outside ddckit (it loads scipy's
+# come first; no mixer table may be built before that run, and the run must
+# build one; then a pole must add no module outside ddckit (it loads scipy's
 # compiled linear filter alone, without leaving it in sys.modules), and
 # scipy.signal must stay missing through the CLI's pole-heavy simulate.
 _IMPORT_GUARDS = """
@@ -250,7 +251,13 @@ def outside(before):
         if name != "ddckit" and not name.startswith("ddckit.")
     )
 
+def tables(after, expected):
+    kept = dk.pipeline._chunk_mixer.cache_info().currsize
+    if kept != expected:
+        fail("tables", f"{kept} mixer tables kept after {after}, not {expected}")
+
 check("import")
+tables("import", 0)
 before = set(sys.modules)
 carrier = dk.CarrierConfig(7, 33)
 stages = dk.parse_filter_spec("hp:0.9375+2sr+lp:0.01", carrier)
@@ -269,7 +276,9 @@ dk.freq_response(stages[1:], dk.FreqGrid.regular(64))
 ess = dk.get_preset("ess")
 envelope = dk.parse_filter_spec(ess.filter_spec, ess.carrier)[0]
 chain = dk.make_chain(ess.carrier, envelope, decimation=ess.decimation)
+tables("building a chain", 0)
 dk.run(chain, dk.RealSeq(np.ones(700)))
+tables("a run", 1)
 dk.group_delay_seconds(chain)
 added = outside(before)
 if added:
@@ -313,7 +322,7 @@ def _child_env() -> dict[str, str]:
 
 @functools.cache
 def _import_guards() -> tuple[int, str, str]:
-    """Run both import guards once, in a fresh interpreter: its exit code,
+    """Run the import guards once, in a fresh interpreter: its exit code,
     its stdout (one ``guard: message`` line per failed check, after the CLI's
     output) and its stderr."""
     done = subprocess.run(
@@ -334,6 +343,10 @@ def test_a_pole_loads_only_scipys_compiled_filter():
 
 def test_design_queries_and_a_fir_run_import_nothing_after_the_cli():
     assert _guard_failures("first-call") == []
+
+
+def test_mixer_tables_are_built_by_the_first_run_not_at_import():
+    assert _guard_failures("tables") == []
 
 
 def _recursion_calls(data, carry, pole):

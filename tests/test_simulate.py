@@ -55,6 +55,26 @@ def test_envelope_families():
         sampled.at(np.array([25]))
 
 
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        dk.ConstantEnvelope(),
+        dk.StepEnvelope(1, 2, 3),
+        dk.PhaseRampEnvelope(1.0, 0.5),
+        dk.SampledEnvelope(np.arange(10) * 1j),
+    ],
+    ids=["constant", "step", "ramp", "sampled"],
+)
+@pytest.mark.parametrize(
+    "k",
+    [None, "x", np.array([0.5]), np.array([True]), [[0], [0, 1]]],
+    ids=["none", "text", "float", "bool", "ragged"],
+)
+def test_envelopes_take_only_integer_sample_indices(envelope, k):
+    with pytest.raises(dk.UsageError, match="sample indices must be integers"):
+        envelope.at(k)
+
+
 def test_signal_spec_validation():
     with pytest.raises(dk.UsageError):
         dk.SignalSpec(noise_sigma=-1.0)
