@@ -336,6 +336,8 @@ def cmd_preset(args) -> int:
         for name in sorted(BUILTIN_PRESETS):
             print(f"{name}: {BUILTIN_PRESETS[name].note}")
         return 0
+    if not (args.name or args.file):
+        raise UsageError("preset show needs a name or --file")
     preset = load_preset_file(args.file) if args.file else get_preset(args.name)
     for line in _preset_lines(preset):
         print(line)
@@ -443,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "preset" and args.action == "show" and not (args.name or args.file):
-        print("error: preset show needs a name or --file", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except UsageError as exc:

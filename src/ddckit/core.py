@@ -412,7 +412,7 @@ class ComplexFilter:
         x = np.zeros(count, dtype=np.complex128)
         if count > 0:
             x[0] = 1.0
-        args = (self, FilterState(self), x)
+        args = (FilterState(self), x)
         seq = _adopt(ComplexSeq, "the impulse response", _filter_block, *args, start=0)
         return seq.values
 
@@ -528,13 +528,12 @@ def _tap_sum(
 
 
 def _filter_block(
-    filt: ComplexFilter,
-    state: FilterState,
-    values: np.ndarray,
-    keep: tuple[int, int] = (0, 1),
+    state: FilterState, values: np.ndarray, keep: tuple[int, int] = (0, 1)
 ) -> np.ndarray:
     """The array kernel of :func:`filter_stream`: filter one block of
-    samples, real or complex, and return the output array.
+    samples, real or complex, through ``state.filter`` from ``state``, which
+    it updates, and return the output array.  The state is all a call needs,
+    so a chain pass holds only its filter states.
 
     ``keep = (first, step)`` returns only the outputs ``first::step`` of the
     block, bitwise equal to slicing the full output, and leaves the same
@@ -555,6 +554,7 @@ def _filter_block(
     in ``complex128`` and returns a complex array; there a real pole runs
     through :func:`_recursion`.
     """
+    filt = state.filter
     values = np.asarray(values)
     if values.dtype is _FLOAT64 and state._delay.dtype is _FLOAT64:
         taps = filt.taps.real
@@ -595,13 +595,14 @@ def _filter_block(
                 v += tmp
         state._delay = history[count:].copy()
     if filt.pole is not None:
-        v = _recursion(filt, state, v)[keep[0] :: keep[1]]
+        v = _recursion(state, v)[keep[0] :: keep[1]]
     return v
 
 
-def _recursion(filt: ComplexFilter, state: FilterState, v: np.ndarray) -> np.ndarray:
-    """``y[k] = pole*y[k-1] + v[k]`` from the carry in ``state``, which it
-    updates: the pole of :func:`_filter_block`.
+def _recursion(state: FilterState, v: np.ndarray) -> np.ndarray:
+    """``y[k] = pole*y[k-1] + v[k]``, with the pole of ``state.filter``, from
+    the carry in ``state``, which it updates: the pole of
+    :func:`_filter_block`.
 
     Each call runs :func:`_linear_filter` positionally, as
     ``(b, a, x, axis, zi)``, which is what :func:`scipy.signal.lfilter`
@@ -616,6 +617,7 @@ def _recursion(filt: ComplexFilter, state: FilterState, v: np.ndarray) -> np.nda
     filter.
     """
     linear_filter = _linear_filter()
+    filt = state.filter
     if filt._real:
         a = np.array([1.0, -filt.pole.real])
         if v.dtype is _FLOAT64:
@@ -660,7 +662,7 @@ def filter_stream(
 
     def block() -> np.ndarray:
         # A real block through a real state comes back real.
-        return _filter_block(filt, state, x.values).astype(np.complex128, copy=False)
+        return _filter_block(state, x.values).astype(np.complex128, copy=False)
 
     return _adopt(ComplexSeq, "the filter's output", block, start=x.start)
 

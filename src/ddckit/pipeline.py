@@ -36,6 +36,10 @@ _SETTLE_EPS = 1e-12
 # (256 KiB each) stay in a 2 MiB L2 cache while every stage passes over them.
 _CHUNK = 16384
 
+# Most phasors in a mixer table that is kept (1 MiB): a chunk and a carrier
+# block of up to 49153 samples, less one.
+_MIXER_KEPT = 65536
+
 
 class ChainOrder(Enum):
     """Where decimation sits relative to the extra low-pass filter."""
@@ -45,24 +49,26 @@ class ChainOrder(Enum):
 
 
 class _Stage(NamedTuple):
-    """One filter of a chain: as it runs, in its baseband form, and whether it
-    runs after the decimator (at the decimated rate) or before it."""
+    """One filter of a chain: as it runs, and in its baseband form."""
 
     filter: ComplexFilter
     baseband: ComplexFilter
-    decimated: bool
 
 
 class _Plan(NamedTuple):
-    """A chain's filters in the groups one pass runs them in: on the raw ADC
-    stream, after the mixer, the last one before the decimator, which
-    computes only the samples the decimator keeps (unless it has a pole),
-    and after the decimator."""
+    """A chain's stages in processing order, in the groups one pass runs
+    them in: on the raw ADC stream, after the mixer, the last one before the
+    decimator, which computes only the samples the decimator keeps (unless
+    it has a pole), and after the decimator, at the decimated rate."""
 
-    passband: tuple[ComplexFilter, ...]
-    before: tuple[ComplexFilter, ...]
-    last: ComplexFilter
-    after: tuple[ComplexFilter, ...]
+    passband: tuple[_Stage, ...]
+    before: tuple[_Stage, ...]
+    last: _Stage
+    after: tuple[_Stage, ...]
+
+    def undecimated(self) -> tuple[_Stage, ...]:
+        """The stages that run before the decimator, in processing order."""
+        return (*self.passband, *self.before, self.last)
 
 
 @dataclass(frozen=True)
@@ -75,13 +81,13 @@ class DdcChain:
     stage runs at the decimated rate and must be built for the longer sample
     period; :func:`make_chain` does that bookkeeping.
 
-    Construction validates the fields and derives the chain's filters once, in
-    processing order, each with its baseband form and its place relative to
-    the decimator.  :func:`run`, :func:`transient_length`,
-    :func:`group_delay_seconds`, :meth:`baseband_stages` and
-    ``analytic_noise_gain`` all read that one description.  The groups a
-    pass runs the filters in and the transient length are derived from it
-    once too, so a block pays only for its own arithmetic.
+    Construction validates the fields and derives the chain's one stage
+    plan: its filters in processing order, each with its baseband form, in
+    the groups a pass runs them in around the mixer and the decimator.
+    :func:`run`, :func:`transient_length`, :func:`group_delay_seconds`,
+    :meth:`baseband_stages` and ``analytic_noise_gain`` all read that plan,
+    and the transient length is derived from it once too, so a block pays
+    only for its own arithmetic.
     """
 
     carrier: CarrierConfig
@@ -112,30 +118,22 @@ class DdcChain:
             raise UsageError("decimation phase out of range")
         if self.order is ChainOrder.DECIMATE_THEN_FILTER and self.lowpass is None:
             raise UsageError("decimate-then-filter needs a low-pass stage")
-        stages = []
+        passband, before, after = [], [], []
         if self.pre_mixer is not None:
             baseband = to_baseband(self.pre_mixer, self.carrier)
-            stages.append(_Stage(self.pre_mixer, baseband, False))
-        stages.append(_Stage(self.ddc, self.ddc, False))
+            passband.append(_Stage(self.pre_mixer, baseband))
+        before.append(_Stage(self.ddc, self.ddc))
         if self.lowpass is not None:
             lowrate = self.order is ChainOrder.DECIMATE_THEN_FILTER
-            stages.append(_Stage(self.lowpass, self.lowpass, lowrate))
-        passband, before, after = [], [], []
-        transient = 0
-        for stage in stages:
-            if stage.filter.domain is Domain.PASSBAND:
-                passband.append(stage.filter)
-            else:
-                (after if stage.decimated else before).append(stage.filter)
-            span = len(stage.filter.taps) - 1 + _settling_horizon(stage.filter.pole)
-            transient += span * self.decimation if stage.decimated else span
+            (after if lowrate else before).append(_Stage(self.lowpass, self.lowpass))
         # The envelope filter always runs before the decimator, so ``before``
         # is never empty.
         *before, last = before
+        plan = _Plan(tuple(passband), tuple(before), last, tuple(after))
+        transient = sum(_span(stage.filter) for stage in plan.undecimated())
+        transient += self.decimation * sum(_span(stage.filter) for stage in plan.after)
         # Derived from the fields, so kept out of them (and out of __init__,
         # repr and equality); frozen, hence set through object.__setattr__.
-        object.__setattr__(self, "_stages", tuple(stages))
-        plan = _Plan(tuple(passband), tuple(before), last, tuple(after))
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_transient", transient)
 
@@ -151,7 +149,7 @@ class DdcChain:
         commutes with the passband pre-filter once the latter is transformed.
         A low-pass that runs after the decimator is not included.
         """
-        return [stage.baseband for stage in self._stages if not stage.decimated]
+        return [stage.baseband for stage in self._plan.undecimated()]
 
 
 def make_chain(
@@ -191,11 +189,12 @@ def make_chain(
 
 def _mixer_table(block: np.ndarray, count: int) -> np.ndarray:
     """One block of a block-periodic table, such as the doubled mixer
-    phasors, tiled by one C-level repeat so that ``count`` samples can be
-    read from any offset within the first block.  A slice holds the values
-    of a gather ``block[k % len(block)]``."""
-    blocks = -(-(count + len(block) - 1) // len(block))
-    return block[np.newaxis].repeat(blocks, axis=0).ravel()
+    phasors, tiled by one C-level repeat and cut to the ``count + len(block)
+    - 1`` samples that hold ``count`` samples from any offset within the
+    first block: a view of the whole blocks.  A slice holds the values of a
+    gather ``block[k % len(block)]``."""
+    size = count + len(block) - 1
+    return block[np.newaxis].repeat(-(-size // len(block)), axis=0).ravel()[:size]
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,9 +204,12 @@ def _chunk_mixer(periods: int, samples: int) -> np.ndarray:
     phasors``), tiled so that a whole chunk can be read from any offset
     within the first block: one read-only table that every chain pass of
     that ratio slices.  It is built on first use, and the last eight ratios
-    are kept."""
+    are kept.  A pass over a ratio whose table would hold more than
+    :data:`_MIXER_KEPT` phasors builds its own through ``__wrapped__``, as
+    :meth:`~ddckit.analysis.FreqGrid.regular` does for large grids."""
     block = 2.0 * CarrierConfig(periods, samples).mixer_phases()
-    table = _mixer_table(block, _CHUNK)
+    # A copy, so the table does not hold the whole blocks it was cut from.
+    table = _mixer_table(block, _CHUNK).copy()
     table.setflags(write=False)
     return table
 
@@ -265,10 +267,14 @@ class DdcOutput:
         return 0.5 * self.chain.output_period
 
 
-def _settling_horizon(pole: complex | None) -> int:
-    if pole is None or pole == 0:
-        return 0
-    return int(math.ceil(math.log(_SETTLE_EPS) / math.log(abs(pole))))
+def _span(filt: ComplexFilter) -> int:
+    """The samples of a filter's output that its zero initial state spoils:
+    its memory, plus the horizon where a pole's settling falls below
+    :data:`_SETTLE_EPS`."""
+    memory = len(filt.taps) - 1
+    if filt.pole is None or filt.pole == 0:
+        return memory
+    return memory + int(math.ceil(math.log(_SETTLE_EPS) / math.log(abs(filt.pole))))
 
 
 def transient_length(chain: DdcChain) -> int:
@@ -287,10 +293,11 @@ def group_delay_seconds(chain: DdcChain) -> float:
     """Sum of stage group delays at zero baseband frequency, in seconds."""
     _check_type(chain, DdcChain, "the chain")
     h = chain.carrier.sample_period
+    plan = chain._plan
     total = 0.0
-    for stage in chain._stages:
-        period = h * chain.decimation if stage.decimated else h
-        total += analysis.phase_metrics(stage.baseband, 0.0, period).group_delay
+    for stages, period in ((plan.undecimated(), h), (plan.after, h * chain.decimation)):
+        for stage in stages:
+            total += analysis.phase_metrics(stage.baseband, 0.0, period).group_delay
     return total
 
 
@@ -327,28 +334,31 @@ class _Stepper:
     """One pass of a chain over its input, fed in consecutive chunks of at
     most :data:`_CHUNK` samples.
 
-    It holds one :class:`~ddckit.core.FilterState` per stage, carried from
-    chunk to chunk, the absolute index of the next input sample and the
-    decimator's phase relative to the next chunk.  The stages come in the
-    groups of the chain's plan, and each chunk is mixed by one contiguous
-    slice of the table of doubled mixer phasors that every pass of the
-    carrier ratio shares (:func:`_chunk_mixer`); so a pass builds only its
-    filter states.  The last stage before the decimator computes only the
-    samples the decimator keeps (unless it has a pole).  The filter kernels
-    sum in the same order whatever the split, so the outputs of all chunks,
-    in turn, are bitwise those of running each whole stage in turn.  This is
-    the seam for a streamable chain's state (ROADMAP item 4).
+    A pass holds only what it carries from chunk to chunk: one
+    :class:`~ddckit.core.FilterState` per stage, in the groups of the
+    chain's plan (each state names its filter), the absolute index of the
+    next input sample and the decimator's phase relative to the next chunk.
+    Each chunk is mixed by one contiguous slice of the table of doubled
+    mixer phasors that every pass of the carrier ratio shares
+    (:func:`_chunk_mixer`).  The last stage before the decimator computes
+    only the samples the decimator keeps (unless it has a pole).  The filter
+    kernels sum in the same order whatever the split, so the outputs of all
+    chunks, in turn, are bitwise those of running each whole stage in turn.
+    This is the seam for a streamable chain's state (ROADMAP item 4).
     """
 
     def __init__(self, chain: DdcChain, start: int) -> None:
         """A pass whose first input sample sits at absolute index ``start``."""
         plan = chain._plan
-        self._passband = [(filt, FilterState(filt)) for filt in plan.passband]
-        self._before = [(filt, FilterState(filt)) for filt in plan.before]
-        self._last = (plan.last, FilterState(plan.last))
-        self._after = [(filt, FilterState(filt)) for filt in plan.after]
-        self._samples = chain.carrier.samples
-        self._table = _chunk_mixer(chain.carrier.periods, chain.carrier.samples)
+        self._passband = [FilterState(stage.filter) for stage in plan.passband]
+        self._before = [FilterState(stage.filter) for stage in plan.before]
+        self._last = FilterState(plan.last.filter)
+        self._after = [FilterState(stage.filter) for stage in plan.after]
+        carrier = chain.carrier
+        self._samples = carrier.samples
+        kept = _CHUNK + carrier.samples - 1 <= _MIXER_KEPT
+        tables = _chunk_mixer if kept else _chunk_mixer.__wrapped__
+        self._table = tables(carrier.periods, carrier.samples)
         self._factor = chain.decimation
         self._phase = chain.decimation_phase
         self.index = start
@@ -357,15 +367,14 @@ class _Stepper:
         """The chain's output for the next chunk of real input samples."""
         # Each stage rebinds ``v``, so no stage's input outlives its use.
         v = values
-        for filt, state in self._passband:
-            v = _filter_block(filt, state, v)
+        for state in self._passband:
+            v = _filter_block(state, v)
         v = _mix(v, self.index % self._samples, self._table)
-        for filt, state in self._before:
-            v = _filter_block(filt, state, v)
-        last, last_state = self._last
-        v = _filter_block(last, last_state, v, (self._phase, self._factor))
-        for filt, state in self._after:
-            v = _filter_block(filt, state, v)
+        for state in self._before:
+            v = _filter_block(state, v)
+        v = _filter_block(self._last, v, (self._phase, self._factor))
+        for state in self._after:
+            v = _filter_block(state, v)
         self.index += len(values)
         self._phase = (self._phase - len(values)) % self._factor
         return v

@@ -307,12 +307,10 @@ def analytic_noise_gain(chain: DdcChain) -> float:
     """Effective squared filter norm of the chain for white ADC noise."""
     _check_type(chain, DdcChain, "the chain")
     stages = chain.baseband_stages()
-    for stage in chain._stages:
-        if stage.decimated:
-            # Only the low-pass can run after the decimator.
-            return analysis.multirate_norm_sq(
-                stages, stage.baseband, chain.decimation
-            ).value
+    after = chain._plan.after
+    if after:
+        # Only the low-pass can run after the decimator.
+        return analysis.multirate_norm_sq(stages, after[0].baseband, chain.decimation).value
     return analysis.h2_norm_sq(stages).value
 
 

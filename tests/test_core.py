@@ -249,9 +249,9 @@ def test_kept_outputs_are_the_full_outputs_sliced_bitwise(taps, data, split, fir
     split = min(split, len(x))
     full_state, kept_state = dk.FilterState(f), dk.FilterState(f)
     for state in (full_state, kept_state):
-        dk.core._filter_block(f, state, x[:split])
-    full = dk.core._filter_block(f, full_state, x[split:])
-    kept = dk.core._filter_block(f, kept_state, x[split:], (first, step))
+        dk.core._filter_block(state, x[:split])
+    full = dk.core._filter_block(full_state, x[split:])
+    kept = dk.core._filter_block(kept_state, x[split:], (first, step))
     assert kept.tobytes() == full[first::step].tobytes()
     assert kept_state._delay.tobytes() == full_state._delay.tobytes()
     if pole is not None:
@@ -282,7 +282,7 @@ def _assert_blocks_are_the_tap_loop(filt, blocks, first, step):
         taps = filt.taps.real if real else filt.taps
         with np.errstate(over="ignore", invalid="ignore"):
             expected, delay = _tap_loop(taps, state._delay, x, first, step)
-            got = dk.core._filter_block(filt, state, x, (first, step))
+            got = dk.core._filter_block(state, x, (first, step))
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
         assert state._delay.dtype == delay.dtype
@@ -393,10 +393,10 @@ def test_chunked_pole_matches_one_shot_bitwise(pole):
     # arbitrary points gives exactly the one-shot recursion.
     f = dk.ComplexFilter(np.array([0.3 - 0.1j, -0.2j, 0.5]), pole=pole)
     x = np.random.default_rng(5).standard_normal(50_000)
-    whole = dk.core._filter_block(f, dk.FilterState(f), x)
+    whole = dk.core._filter_block(dk.FilterState(f), x)
     state = dk.FilterState(f)
     cuts = [0, 1, 16384, 16385, 32769, 50_000]
-    parts = [dk.core._filter_block(f, state, x[a:b]) for a, b in zip(cuts, cuts[1:])]
+    parts = [dk.core._filter_block(state, x[a:b]) for a, b in zip(cuts, cuts[1:])]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 

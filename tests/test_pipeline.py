@@ -1,5 +1,6 @@
 """Chain composition: mixer, envelope recovery, ordering, latency metadata."""
 
+import dataclasses
 import math
 import warnings
 
@@ -93,11 +94,29 @@ def test_chains_of_one_carrier_ratio_share_one_read_only_mixer_table():
     table = tables(7, 33)
     assert all(dk.pipeline._Stepper(chain, 0)._table is table for chain in chains)
     assert not table.flags.writeable
-    assert len(table) >= dk.pipeline._CHUNK + 32 and len(table) % 33 == 0
-    assert table[:33].tobytes() == (2.0 * fast.mixer_phases()).tobytes()
+    # A chunk from any offset within the first block, and not one phasor more.
+    assert len(table) == dk.pipeline._CHUNK + 32 and table.base is None
+    phasors = 2.0 * fast.mixer_phases()
+    assert table.tobytes() == phasors[np.arange(len(table)) % 33].tobytes()
     other = dk.CarrierConfig(3, 14)
     assert dk.pipeline._Stepper(dk.DdcChain(other, dk.make_ma(14)), 0)._table is not table
     assert tables.cache_info().currsize == 2
+
+
+def test_a_mixer_table_longer_than_the_bound_is_built_for_its_pass_alone():
+    tables = dk.pipeline._chunk_mixer
+    tables.cache_clear()
+    samples = dk.pipeline._MIXER_KEPT - dk.pipeline._CHUNK + 1
+    kept = dk.DdcChain(dk.CarrierConfig(1, samples), dk.make_ma(3))
+    assert len(dk.pipeline._Stepper(kept, 0)._table) == dk.pipeline._MIXER_KEPT
+    assert tables.cache_info().currsize == 1
+    tables.cache_clear()
+    chain = dk.DdcChain(dk.CarrierConfig(1, 10**6), dk.make_ma(3))
+    y = dk.RealSeq(np.random.default_rng(2).standard_normal(100), start=999_950)
+    out = dk.run(chain, y)
+    assert tables.cache_info().currsize == 0
+    assert out.seq.values.tobytes() == _explicit_stages(chain, y).values.tobytes()
+    assert len(dk.pipeline._Stepper(chain, 0)._table) == dk.pipeline._CHUNK + 10**6 - 1
 
 
 # ------------------------------------------------------------- chain rules
@@ -331,16 +350,20 @@ def test_an_experiment_validates_nothing_it_computes(monkeypatch):
     assert len(validations) == 0
 
 
-@pytest.mark.parametrize("pre_mixer, lowpass, decimation, phase", list(_chain_shapes()))
+@pytest.mark.parametrize(
+    "pre_mixer, lowpass, decimation, phase",
+    [*_chain_shapes(), (15 / 16, "same-before", 3, 1), (15 / 16, "same-after", 3, 1)],
+)
 def test_chain_shape_matches_its_explicit_stages(
     pre_mixer, lowpass, decimation, phase, monkeypatch
 ):
     # Every chain number is spelled out from the public primitives, stage by
     # stage, and must match exactly: low-pass before or after the decimator
-    # (including after it at decimation 1), with and without a pre-mixer.
+    # (including after it at decimation 1), with and without a pre-mixer,
+    # and one object as both the envelope filter and the low-pass.
     carrier = dk.CarrierConfig(7, 33, 3.0)
     h = carrier.sample_period
-    after = lowpass == "after"
+    after = lowpass in ("after", "same-after")
     chain = dk.make_chain(
         carrier,
         dk.make_2sr(carrier),
@@ -350,6 +373,8 @@ def test_chain_shape_matches_its_explicit_stages(
         decimation_phase=phase,
         order=dk.ChainOrder.DECIMATE_THEN_FILTER if after else dk.ChainOrder.FILTER_THEN_DECIMATE,
     )
+    if lowpass in ("same-before", "same-after"):
+        chain = dataclasses.replace(chain, lowpass=chain.ddc)
     y = dk.RealSeq(np.random.default_rng(11).standard_normal(3000), start=5)
     z = _explicit_stages(chain, y)
     # The input was validated when it was built; run adopts its output.
@@ -394,8 +419,12 @@ def test_chain_shape_matches_its_explicit_stages(
     else:
         gain = dk.h2_norm_sq(before).value
     assert dk.analytic_noise_gain(chain) == gain
-    assert len(chain.baseband_stages()) == len(before)
-    assert len(before) == 1 + (pre_mixer is not None) + (lowpass == "before")
+
+    def key(filt):
+        return filt.taps.tobytes(), filt.pole, filt.domain
+
+    assert [key(filt) for filt in chain.baseband_stages()] == [key(filt) for filt in before]
+    assert len(before) == 1 + (pre_mixer is not None) + (lowpass is not None and not after)
 
 
 def _chunked_shapes():

@@ -1,8 +1,11 @@
 """Presets, the filter-spec grammar, and the command-line front end."""
 
 import csv
+import importlib.util
+import inspect
 import io
 import math
+import pathlib
 
 import pytest
 
@@ -330,6 +333,7 @@ def test_cli_preset_list(capsys):
 
 def test_cli_preset_show_needs_name(capsys):
     assert main(["preset", "show"]) == 2
+    assert capsys.readouterr().err == "error: preset show needs a name or --file\n"
 
 
 def test_cli_output_is_deterministic(capsys):
@@ -364,3 +368,25 @@ def test_cli_simulate_noise_beyond_float_range_is_a_usage_error(capsys):
             "--samples", "2000"]
     assert main(args) == 2
     assert "noise_sigma" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ benchmark trace names
+
+def test_every_name_the_benchmark_traces_resolves():
+    # ddcbench/spans.py wraps ddckit's functions and class methods by name
+    # (getattr over TARGETS, the class __dict__ over CLASS_TARGETS), and its
+    # work counters read filter_stream's and decimate's first argument by
+    # position or by name; a refactor that moves one of them breaks the
+    # traced benchmark run. The module is loaded from its file, not changed.
+    path = pathlib.Path(__file__).resolve().parents[1] / "ddcbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("ddcbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS and spans.CLASS_TARGETS
+    for module_name, attr, _, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr)), attr
+    for module_name, cls_name, attr, _ in spans.CLASS_TARGETS:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        assert callable(cls.__dict__[attr]), (cls_name, attr)
+    assert next(iter(inspect.signature(dk.filter_stream).parameters)) == "filt"
+    assert next(iter(inspect.signature(dk.decimate).parameters)) == "x"

@@ -184,7 +184,7 @@ def test_a_real_pole_on_complex_blocks_keeps_the_complex_signed_zeros(parts, cut
     filt = dk.ComplexFilter([1.0], pole=pole)
     x = np.array([complex(re, im) for re, im in parts])
     state, bounds = dk.FilterState(filt), [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
-    out = [dk.core._filter_block(filt, state, x[a:b]) for a, b in zip(bounds, bounds[1:])]
+    out = [dk.core._filter_block(state, x[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert np.concatenate(out).tobytes() == _reference_filter(filt, x).tobytes()
 
 
@@ -203,7 +203,7 @@ def test_filters_that_may_not_run_real_stay_on_the_complex_path(filt):
     # pole would turn some of the complex kernel's +0.0 into -0.0 in real
     # arithmetic, so those filters stay complex too.
     x = np.array([0.0, -0.0, 1.5, -2.0, -0.0, 0.25, 0.0, -1.0] * 4)
-    out = dk.core._filter_block(filt, dk.FilterState(filt), x)
+    out = dk.core._filter_block(dk.FilterState(filt), x)
     assert out.dtype == np.complex128
     assert out.tobytes() == _reference_filter(filt, x).tobytes()
 
@@ -219,7 +219,7 @@ def test_the_real_pre_mixer_stage_hands_the_mixer_its_exact_input(data):
     x = np.array(data)
     expected = _reference_filter(hp, x)
     assert not expected.imag.any() and not np.signbit(expected.imag).any()
-    out = dk.core._filter_block(hp, dk.FilterState(hp), x)
+    out = dk.core._filter_block(dk.FilterState(hp), x)
     assert out.dtype == np.float64
     assert out.tobytes() == expected.real.tobytes()
     table = pipeline._mixer_table(2.0 * dk.CarrierConfig(7, 33).mixer_phases(), len(x))
