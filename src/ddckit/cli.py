@@ -23,7 +23,7 @@ from .analysis import (
     multirate_norm_sq,
     tune_lp_bandwidth,
 )
-from .core import CarrierConfig, ComplexFilter, DdcError, UsageError
+from .core import CarrierConfig, ComplexFilter, DdcError, UsageError, _is_positive
 from .filters import convolve, make_dc_reject_passband, make_dcr, make_lp
 from .pipeline import ChainOrder, DdcChain, make_chain, run
 from .presets import (
@@ -154,6 +154,10 @@ def cmd_compare_order(args) -> int:
     if any(stage.pole is not None for stage in stages):
         raise UsageError("compare-order sweeps the low-pass itself; "
                          "--filter must be the FIR envelope filter only")
+    if args.decimate < 1 or args.sweep_points < 1:
+        raise UsageError("--decimate and --sweep-points must be positive integers")
+    if not (_is_positive(args.sweep_min) and _is_positive(args.sweep_max)):
+        raise UsageError("--sweep-min and --sweep-max must be positive finite numbers")
     factor = args.decimate
     sweep = np.geomspace(args.sweep_min, args.sweep_max, args.sweep_points)
 
@@ -273,6 +277,8 @@ def _simulation_setup(args) -> tuple[CarrierConfig, DdcChain]:
 
 
 def cmd_simulate(args) -> int:
+    if args.seeds < 1:
+        raise UsageError("--seeds must be a positive integer")
     carrier, chain = _simulation_setup(args)
     spec = SignalSpec(
         envelope=_parse_envelope(args.envelope),

@@ -39,6 +39,14 @@ outputs (at most 4096 tap products) forms all its tap products as one 2-D
 product over a strided window of its delay line and samples, and sums the
 product's rows in ascending tap order by one reduction; larger blocks and
 full-rate blocks sum tap by tap.  Both give the same bits.
+
+Every phasor that repeats with the carrier block (the mixer's, a synthesized
+carrier's and harmonics', a spur demodulator's) comes from one private
+helper, :func:`_tone`, exact at any absolute sample index: it evaluates
+``exp`` only at the residues modulo the block that a call reaches, at most
+one block, and tiles them.  The chain passes of :mod:`ddckit.pipeline` keep
+tables of at most 65536 of the mixer's phasors, one per carrier ratio, and
+compute each chunk's phasors alone above that.
 """
 
 from __future__ import annotations
@@ -232,9 +240,30 @@ class CarrierConfig:
         table by ``k % samples`` gives the exact mixer value for any absolute
         sample index (no phase accumulation error at large k).
         """
-        table = np.exp(-1j * self.phase_step * np.arange(self.samples))
+        table = _tone(-1j * self.phase_step, self.samples, 0, self.samples)
         table.setflags(write=False)
         return table
+
+    def _mixer(self, start: int, count: int) -> np.ndarray:
+        """What the mixer multiplies by at the ``count`` absolute indices from
+        ``start``: ``2.0 * mixer_phases()[k % samples]``, from :func:`_tone`
+        (doubling a phasor is exact)."""
+        return _tone(-1j * self.phase_step, self.samples, start, count, lambda p: 2.0 * p)
+
+
+def _tone(rate: complex, samples: int, start: int, count: int, form=None) -> np.ndarray:
+    """``form(exp(rate * (k % samples)))`` at the ``count`` absolute indices
+    k from ``start``: a phasor that repeats every ``samples`` indices, exact
+    at any index, in a new array.  ``exp``, and ``form`` when given (an
+    element-wise function, such as a doubling, a conjugate or a real part),
+    run once for each residue the indices reach, at most ``samples`` of
+    them, and that block is tiled.  Every carrier-periodic phasor of the
+    package comes from here."""
+    # Reduced in Python first: a huge start would overflow numpy's integers.
+    block = np.exp(rate * ((start % samples + np.arange(min(count, samples))) % samples))
+    if form is not None:
+        block = form(block)
+    return np.tile(block, -(-count // samples))[:count]
 
 
 def _check_start(start, what: str) -> None:

@@ -187,54 +187,34 @@ def make_chain(
     )
 
 
-def _mixer_table(block: np.ndarray, count: int) -> np.ndarray:
-    """One block of a block-periodic table, such as the doubled mixer
-    phasors, tiled by one C-level repeat and cut to the ``count + len(block)
-    - 1`` samples that hold ``count`` samples from any offset within the
-    first block: a view of the whole blocks.  A slice holds the values of a
-    gather ``block[k % len(block)]``."""
-    size = count + len(block) - 1
-    return block[np.newaxis].repeat(-(-size // len(block)), axis=0).ravel()[:size]
-
-
 @functools.lru_cache(maxsize=8)
 def _chunk_mixer(periods: int, samples: int) -> np.ndarray:
-    """The doubled mixer phasors of the carrier ratio ``periods/samples``
-    (exactly doubled, so ``values * table`` is bitwise ``2.0 * values *
-    phasors``), tiled so that a whole chunk can be read from any offset
-    within the first block: one read-only table that every chain pass of
-    that ratio slices.  It is built on first use, and the last eight ratios
-    are kept.  A pass over a ratio whose table would hold more than
-    :data:`_MIXER_KEPT` phasors builds its own through ``__wrapped__``, as
-    :meth:`~ddckit.analysis.FreqGrid.regular` does for large grids."""
-    block = 2.0 * CarrierConfig(periods, samples).mixer_phases()
+    """The doubled mixer phasors of the carrier ratio ``periods/samples`` for
+    a whole chunk read from any offset within the first block: one read-only
+    table that every chain pass of that ratio slices.  It is built on first
+    use, and the last eight ratios are kept.  Only ratios whose table holds
+    at most :data:`_MIXER_KEPT` phasors get one; a pass over a longer carrier
+    block computes each chunk's phasors alone."""
     # A copy, so the table does not hold the whole blocks it was cut from.
-    table = _mixer_table(block, _CHUNK).copy()
+    table = CarrierConfig(periods, samples)._mixer(0, _CHUNK + samples - 1).copy()
     table.setflags(write=False)
     return table
-
-
-def _mix(values: np.ndarray, offset: int, table: np.ndarray) -> np.ndarray:
-    """The array kernel of :func:`mix_down`: ``values`` times the contiguous
-    slice of a :func:`_mixer_table` that starts at ``offset``, the absolute
-    index of ``values[0]`` modulo the carrier block."""
-    return values * table[offset : offset + len(values)]
 
 
 def mix_down(y: RealSeq | ComplexSeq, carrier: CarrierConfig) -> ComplexSeq:
     """Multiply by ``2*exp(-1j*phase_step*k)`` with k the absolute sample index.
 
-    The mixer phasor is periodic in the carrier block, so it is read from a
-    block-length table; this keeps the phase exact for arbitrarily large
-    indices and places the conjugate image of a constant envelope exactly on
-    the double-frequency line.  An output beyond the float range raises
-    :class:`~ddckit.core.DomainError`.
+    The mixer phasor is periodic in the carrier block, so it is evaluated at
+    ``k % samples``, once for each residue the block reaches, by the one
+    helper every carrier-periodic phasor comes from; this keeps the phase
+    exact for arbitrarily large indices and places the conjugate image of a
+    constant envelope exactly on the double-frequency line.  An output
+    beyond the float range raises :class:`~ddckit.core.DomainError`.
     """
     _check_type(y, (RealSeq, ComplexSeq), "mix_down input")
     _check_type(carrier, CarrierConfig, "the carrier")
-    table = _mixer_table(2.0 * carrier.mixer_phases(), len(y))
-    args = (y.values, y.start % carrier.samples, table)
-    return _adopt(ComplexSeq, "the mixer's output", _mix, *args, start=y.start)
+    phasors = carrier._mixer(y.start, len(y))
+    return _adopt(ComplexSeq, "the mixer's output", np.multiply, y.values, phasors, start=y.start)
 
 
 @dataclass(frozen=True)
@@ -340,8 +320,11 @@ class _Stepper:
     next input sample and the decimator's phase relative to the next chunk.
     Each chunk is mixed by one contiguous slice of the table of doubled
     mixer phasors that every pass of the carrier ratio shares
-    (:func:`_chunk_mixer`).  The last stage before the decimator computes
-    only the samples the decimator keeps (unless it has a pole).  The filter
+    (:func:`_chunk_mixer`), fetched when the pass is built; over a carrier
+    block too long for a kept table, by the chunk's own doubled phasors,
+    evaluated at the residues it reaches alone.  The last stage before the
+    decimator computes only the samples the decimator keeps (unless it has a
+    pole).  The filter
     kernels sum in the same order whatever the split, so the outputs of all
     chunks, in turn, are bitwise those of running each whole stage in turn.
     This is the seam for a streamable chain's state (ROADMAP item 4).
@@ -354,11 +337,9 @@ class _Stepper:
         self._before = [FilterState(stage.filter) for stage in plan.before]
         self._last = FilterState(plan.last.filter)
         self._after = [FilterState(stage.filter) for stage in plan.after]
-        carrier = chain.carrier
-        self._samples = carrier.samples
+        self._carrier = carrier = chain.carrier
         kept = _CHUNK + carrier.samples - 1 <= _MIXER_KEPT
-        tables = _chunk_mixer if kept else _chunk_mixer.__wrapped__
-        self._table = tables(carrier.periods, carrier.samples)
+        self._table = _chunk_mixer(carrier.periods, carrier.samples) if kept else None
         self._factor = chain.decimation
         self._phase = chain.decimation_phase
         self.index = start
@@ -369,7 +350,11 @@ class _Stepper:
         v = values
         for state in self._passband:
             v = _filter_block(state, v)
-        v = _mix(v, self.index % self._samples, self._table)
+        if self._table is None:
+            v = v * self._carrier._mixer(self.index, len(v))
+        else:
+            offset = self.index % self._carrier.samples
+            v = v * self._table[offset : offset + len(v)]
         for state in self._before:
             v = _filter_block(state, v)
         v = _filter_block(self._last, v, (self._phase, self._factor))

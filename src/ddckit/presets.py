@@ -20,7 +20,7 @@ import numbers
 import os
 from dataclasses import dataclass
 
-from .core import CarrierConfig, ComplexFilter, UsageError, _check_type, _is_number
+from .core import CarrierConfig, ComplexFilter, UsageError, _check_type, _is_number, _is_positive
 from .filters import (
     make_2sr,
     make_dc_reject_passband,
@@ -148,6 +148,20 @@ def parse_filter_spec(spec: str, carrier: CarrierConfig | None) -> list[ComplexF
 _ORDER_NAMES = {order.value: order for order in ChainOrder}
 
 
+def _positive(path: str, key: str, text: str, kind: type):
+    """A preset file's value ``text`` for ``key`` as a positive finite
+    ``kind`` (``float`` or ``int``), or a :class:`UsageError` that names the
+    file."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if not _is_positive(value):
+        noun = "integer" if kind is int else "finite number"
+        raise UsageError(f"{path}: bad {key} {text!r}; expected a positive {noun}")
+    return value
+
+
 def load_preset_file(path: str) -> Preset:
     """Load a user preset from a ``key = value`` text file."""
     _check_type(path, (str, os.PathLike), "the preset file path")
@@ -182,22 +196,13 @@ def load_preset_file(path: str) -> Preset:
             raise UsageError(f"{path}: missing required key {required!r}")
 
     periods, samples = parse_ratio(values["ratio"])
-    try:
-        rate = float(values["sample_rate"])
-    except ValueError:
-        raise UsageError(f"{path}: bad sample_rate {values['sample_rate']!r}") from None
+    rate = _positive(path, "sample_rate", values["sample_rate"], float)
     carrier = CarrierConfig(periods, samples, rate)
 
     lp_hz: float | None = None
     if values.get("lp_bandwidth_hz", "none").lower() not in ("", "none"):
-        try:
-            lp_hz = float(values["lp_bandwidth_hz"])
-        except ValueError:
-            raise UsageError(f"{path}: bad lp_bandwidth_hz") from None
-    try:
-        decimation = int(values.get("decimation", "1"))
-    except ValueError:
-        raise UsageError(f"{path}: bad decimation") from None
+        lp_hz = _positive(path, "lp_bandwidth_hz", values["lp_bandwidth_hz"], float)
+    decimation = _positive(path, "decimation", values.get("decimation", "1"), int)
     order_text = values.get("order", ChainOrder.FILTER_THEN_DECIMATE.value)
     if order_text not in _ORDER_NAMES:
         raise UsageError(

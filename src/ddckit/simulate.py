@@ -33,10 +33,11 @@ from .core import (
     _check_type,
     _is_int,
     _is_number,
+    _tone,
     _validated_samples,
 )
 from .filters import make_iq
-from .pipeline import _CHUNK, DdcChain, _Stepper, _mixer_table, run, transient_length
+from .pipeline import _CHUNK, DdcChain, _Stepper, run, transient_length
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,12 @@ def _samples(
     """Every term of :func:`synthesize`, with the ``noise`` chunks added
     last, as a new array."""
     k = np.arange(count)
-    carrier_pos = np.conj(carrier.mixer_phases())  # exp(+1j*step*k), one block
-    y = (spec.envelope.at(k) * _mixer_table(carrier_pos, count)[:count]).real.copy()
+    # The carrier, exp(+1j*step*k), is the conjugate of the mixer's phasor.
+    carrier_pos = _tone(-1j * carrier.phase_step, carrier.samples, 0, count, np.conj)
+    y = (spec.envelope.at(k) * carrier_pos).real.copy()
     for order, amplitude in spec.harmonics:
-        table = np.exp(1j * (order * carrier.phase_step) * np.arange(carrier.samples))
-        y += _mixer_table((complex(amplitude) * table).real, count)[:count]
+        rate, amplitude = 1j * (order * carrier.phase_step), complex(amplitude)
+        y += _tone(rate, carrier.samples, 0, count, lambda tone: (amplitude * tone).real)
     if spec.dc_offset:
         y += spec.dc_offset
     for begin, chunk in zip(range(0, count, _CHUNK), noise):
@@ -237,8 +239,10 @@ def synthesize(spec: SignalSpec, carrier: CarrierConfig, count: int) -> RealSeq:
 
     Sample k is the real carrier with the spec's envelope, plus each harmonic
     tone, the DC offset, and white Gaussian noise.  All deterministic phasors
-    are read from block-periodic tables, so tones land exactly on their grid
-    frequencies regardless of length.
+    repeat every carrier block and are evaluated at ``k % samples``, once for
+    each residue the stream reaches, by the one helper every carrier-periodic
+    phasor comes from, so tones land exactly on their grid frequencies
+    regardless of length.
     """
     _check_type(spec, SignalSpec, "the signal spec")
     _check_type(carrier, CarrierConfig, "the carrier")
@@ -342,8 +346,8 @@ def _demodulate_spurs(
     strongest = 0.0
     for theta in thetas:
         # At the output rate the spur period still divides one carrier block,
-        # so the demodulating phasor is read from a block-length table.
-        table = np.exp(-1j * (theta * chain.decimation) * np.arange(block))
+        # so the demodulating phasor is one block of a carrier-periodic tone.
+        table = _tone(-1j * (theta * chain.decimation), block, 0, block)
         amp = abs(np.mean((rows * table).ravel()))
         strongest = max(strongest, amp)
     return strongest

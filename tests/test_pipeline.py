@@ -55,9 +55,10 @@ def test_mix_down_is_start_index_aware():
 
 @pytest.mark.parametrize("start", [0, 5, 40_000_007])
 def test_mixer_is_the_doubled_phasor_at_the_absolute_index(start):
-    # Pinned to the literal formula, not to the tiled table the kernel
-    # slices: through mix_down on real and complex samples spanning several
-    # chunks, and through the kernel on one chunk with the table chains share.
+    # Pinned to the literal formula ``mixer_phases()[k % samples]``: through
+    # mix_down on real and complex samples spanning several chunks, and
+    # through a chain pass whose only stage is a unit tap, so its output is
+    # the mixer's, slicing the table chains share.
     carrier = dk.CarrierConfig(7, 33)
     count = 2 * dk.pipeline._CHUNK + 777
     rng = np.random.default_rng(start)
@@ -67,10 +68,11 @@ def test_mixer_is_the_doubled_phasor_at_the_absolute_index(start):
     for values, seq in ((real, dk.RealSeq(real, start)), (cplx, dk.ComplexSeq(cplx, start))):
         expected = 2.0 * values * phasors
         assert dk.mix_down(seq, carrier).values.tobytes() == expected.tobytes()
-    chunk = real[: dk.pipeline._CHUNK]
-    table = dk.pipeline._chunk_mixer(carrier.periods, carrier.samples)
-    mixed = dk.pipeline._mix(chunk, start % carrier.samples, table)
-    assert mixed.tobytes() == (2.0 * chunk * phasors[: len(chunk)]).tobytes()
+    step = dk.pipeline._Stepper(dk.DdcChain(carrier, dk.ComplexFilter([1.0])), start).step
+    # A short first chunk moves every later chunk's offset in the table.
+    bounds = [0, 1000, *range(1000 + dk.pipeline._CHUNK, count, dk.pipeline._CHUNK), count]
+    mixed = np.concatenate([step(real[a:b]) for a, b in zip(bounds, bounds[1:])])
+    assert mixed.tobytes() == (2.0 * real * phasors).tobytes()
 
 
 def test_chains_of_one_carrier_ratio_share_one_read_only_mixer_table():
@@ -103,7 +105,10 @@ def test_chains_of_one_carrier_ratio_share_one_read_only_mixer_table():
     assert tables.cache_info().currsize == 2
 
 
-def test_a_mixer_table_longer_than_the_bound_is_built_for_its_pass_alone():
+def test_a_carrier_block_too_long_for_a_kept_table_is_mixed_chunk_by_chunk():
+    # The last ratio whose table is kept gets one of exactly _MIXER_KEPT
+    # phasors; a longer block gets none, and each chunk of a pass is mixed by
+    # its own doubled phasors, ``2 * mixer_phases()[k % samples]``.
     tables = dk.pipeline._chunk_mixer
     tables.cache_clear()
     samples = dk.pipeline._MIXER_KEPT - dk.pipeline._CHUNK + 1
@@ -111,12 +116,86 @@ def test_a_mixer_table_longer_than_the_bound_is_built_for_its_pass_alone():
     assert len(dk.pipeline._Stepper(kept, 0)._table) == dk.pipeline._MIXER_KEPT
     assert tables.cache_info().currsize == 1
     tables.cache_clear()
+    carrier = dk.CarrierConfig(1, samples + 1)
+    count = 2 * dk.pipeline._CHUNK + 5
+    real = np.random.default_rng(2).standard_normal(count)
+    start = samples - 1000
+    pass_ = dk.pipeline._Stepper(dk.DdcChain(carrier, dk.ComplexFilter([1.0])), start)
+    assert pass_._table is None
+    mixed = np.concatenate(
+        [pass_.step(real[b : b + dk.pipeline._CHUNK]) for b in range(0, count, dk.pipeline._CHUNK)]
+    )
+    phasors = carrier.mixer_phases()[(start + np.arange(count)) % carrier.samples]
+    assert mixed.tobytes() == (2.0 * real * phasors).tobytes()
     chain = dk.DdcChain(dk.CarrierConfig(1, 10**6), dk.make_ma(3))
-    y = dk.RealSeq(np.random.default_rng(2).standard_normal(100), start=999_950)
+    y = dk.RealSeq(real[:100], start=999_950)
     out = dk.run(chain, y)
     assert tables.cache_info().currsize == 0
     assert out.seq.values.tobytes() == _explicit_stages(chain, y).values.tobytes()
-    assert len(dk.pipeline._Stepper(chain, 0)._table) == dk.pipeline._CHUNK + 10**6 - 1
+
+
+def test_a_short_call_on_a_long_carrier_block_evaluates_only_the_phasors_it_reaches(
+    monkeypatch,
+):
+    # On a carrier block of 10**6 samples, 100 samples through mix_down,
+    # synthesize or run evaluate at most 100 phasors, never a whole block,
+    # and keep no table.
+    carrier = dk.CarrierConfig(1, 10**6)
+    chain = dk.make_chain(carrier, dk.make_ma(3), lp_bandwidth=0.5)
+    spec = dk.SignalSpec(noise_sigma=0.1, dc_offset=0.2, harmonics=((2, 0.1),))
+    y = dk.RealSeq(np.random.default_rng(3).standard_normal(100), start=999_950)
+    expected = [
+        dk.mix_down(y, carrier).values,
+        dk.synthesize(spec, carrier, 100).values,
+        dk.run(chain, y).seq.values,
+    ]
+    tables = dk.pipeline._chunk_mixer
+    tables.cache_clear()
+    sizes = []
+    exp = np.exp
+
+    def counted_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    def whole_block(self):
+        raise AssertionError("a whole carrier block of phasors was evaluated")
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    monkeypatch.setattr(dk.CarrierConfig, "mixer_phases", whole_block)
+    got = [
+        dk.mix_down(y, carrier).values,
+        dk.synthesize(spec, carrier, 100).values,
+        dk.run(chain, y).seq.values,
+    ]
+    assert sizes and max(sizes) <= 100
+    assert tables.cache_info().currsize == 0
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("start", [2**70, -(2**70)])
+def test_a_huge_start_index_mixes_as_its_residue(start):
+    # The start is reduced by the carrier block before it meets numpy, whose
+    # integers would overflow.
+    carrier = dk.CarrierConfig(7, 33)
+    values = np.random.default_rng(4).standard_normal(2000)
+    chain = dk.make_chain(carrier, dk.make_2sr(carrier), lp_bandwidth=0.05)
+
+    def outputs(begin):
+        y = dk.RealSeq(values, begin)
+        return dk.mix_down(y, carrier).values.tobytes(), dk.run(chain, y).seq.values.tobytes()
+
+    assert outputs(start) == outputs(start % carrier.samples)
+
+
+def test_a_pass_fetches_its_kept_mixer_table_when_it_is_built():
+    # Built with the pass, before any chunk, so a noise study's table comes
+    # before the arrays of its first chunk.
+    tables = dk.pipeline._chunk_mixer
+    tables.cache_clear()
+    pass_ = dk.pipeline._Stepper(dk.DdcChain(dk.CarrierConfig(5, 17), dk.make_ma(17)), 0)
+    assert tables.cache_info().currsize == 1
+    assert pass_._table is tables(5, 17)
 
 
 # ------------------------------------------------------------- chain rules

@@ -6,6 +6,7 @@ import inspect
 import io
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -71,6 +72,34 @@ def test_preset_file_errors(tmp_path, content, match):
     path.write_text(content)
     with pytest.raises(dk.UsageError, match=match):
         dk.load_preset_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "decimation = 0",
+        "decimation = -3",
+        "decimation = x",
+        "lp_bandwidth_hz = nan",
+        "lp_bandwidth_hz = inf",
+        "lp_bandwidth_hz = -5",
+        "lp_bandwidth_hz = 0",
+        "lp_bandwidth_hz = x",
+        "sample_rate = nan",
+        "sample_rate = -1e6",
+    ],
+)
+def test_preset_file_refuses_a_bad_decimation_or_low_pass_naming_the_file(
+    tmp_path, capsys, line
+):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"ratio = 1/4\nsample_rate = 1e6\nfilter = ma:4\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(dk.UsageError, match=f"^{re.escape(str(path))}: bad {key} "):
+        dk.load_preset_file(str(path))
+    assert main(["preset", "show", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{path}: bad {key}" in captured.err
 
 
 # ----------------------------------------------------------- spec grammar
@@ -225,6 +254,36 @@ def test_cli_compare_order_sweep(capsys):
     assert float(first[0]) == pytest.approx(1e-4)
     # Orders agree at small bandwidths.
     assert abs(float(first[1]) - float(first[2])) < 0.5
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sweep-points", "-1"],
+        ["--sweep-points", "0"],
+        ["--sweep-min", "0"],
+        ["--sweep-min", "nan"],
+        ["--sweep-max", "inf"],
+        ["--sweep-max", "-0.01"],
+        ["--decimate", "0"],
+    ],
+)
+def test_cli_compare_order_refuses_bad_sweeps_before_writing(capsys, flags):
+    args = ["compare-order", "--filter", "ma:14", "--carrier", "3/14", "--decimate", "14"]
+    assert main(args + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flags[0] in captured.err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_cli_simulate_refuses_a_seed_count_below_one(monkeypatch, capsys, seeds):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("ran an experiment with a bad seed count")
+
+    monkeypatch.setattr("ddckit.cli.run_experiment", no_experiment)
+    assert main(["simulate", "--preset", "ess", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seeds" in captured.err
 
 
 def test_cli_simulate_preset_noise_free(capsys):
