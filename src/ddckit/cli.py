@@ -1,6 +1,11 @@
 """Command-line front end: frequency-response and norm tables as CSV,
 low-pass tuning, filtering/decimation ordering sweeps, and simulation runs.
 
+Every command reads ``--carrier`` and ``--fs`` in one place; ``--fs``
+defaults to 1 Hz only when it is absent.  A ``simulate`` chain starts from
+exactly one preset: ``--preset``, ``--preset-file``, or ``--carrier`` with
+``--filter``; the remaining flags override it.
+
 Exit codes: 0 on success, 1 on numeric/domain errors (e.g. an unachievable
 tuning target), 2 on usage errors (bad flags, malformed specs).
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import sys
 from typing import Sequence
@@ -83,17 +89,19 @@ def _write_csv(path: str | None, header: Sequence[str], rows) -> None:
 
 
 def _carrier_from(args) -> CarrierConfig | None:
-    if getattr(args, "carrier", None) is None:
-        if getattr(args, "fs", None) is not None:
+    if args.carrier is None:
+        if args.fs is not None:
             raise UsageError("--fs needs --carrier M/N")
         return None
-    periods, samples = parse_ratio(args.carrier)
-    return CarrierConfig(periods, samples, args.fs if args.fs else 1.0)
+    return CarrierConfig(*parse_ratio(args.carrier), 1.0 if args.fs is None else args.fs)
 
 
-def _stages_from(args) -> tuple[list[ComplexFilter], CarrierConfig | None]:
+def _stages_from(args) -> tuple[list[ComplexFilter], CarrierConfig | None, float]:
+    """The ``--filter`` cascade, the carrier and the sample period (1.0
+    without ``--carrier``, or with ``--carrier`` and no ``--fs``)."""
     carrier = _carrier_from(args)
-    return parse_filter_spec(args.filter, carrier), carrier
+    period = carrier.sample_period if carrier is not None else 1.0
+    return parse_filter_spec(args.filter, carrier), carrier, period
 
 
 def _mag_db(resp: np.ndarray) -> np.ndarray:
@@ -101,13 +109,12 @@ def _mag_db(resp: np.ndarray) -> np.ndarray:
 
 
 def cmd_freq_response(args) -> int:
-    stages, carrier = _stages_from(args)
-    rate = carrier.sample_rate if carrier is not None and args.fs else None
-    grid = FreqGrid.regular(args.points, rate)
+    stages, _, _ = _stages_from(args)
+    grid = FreqGrid.regular(args.points, args.fs)
     resp = freq_response(stages, grid)
     mag_db = _mag_db(resp)
     phase_deg = np.degrees(np.unwrap(np.angle(resp)))
-    if rate is not None:
+    if args.fs is not None:
         header = ["theta_rad", "freq_hz", "mag_db", "phase_deg"]
         columns = [grid.thetas, grid.freq_hz, mag_db, phase_deg]
     else:
@@ -118,8 +125,9 @@ def cmd_freq_response(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    stages, carrier = _stages_from(args)
-    period = carrier.sample_period if carrier is not None else 1.0
+    stages, _, period = _stages_from(args)
+    if args.decimate < 1:
+        raise UsageError("--decimate must be a positive integer")
     if args.lp_after_decimation and args.lp is None:
         raise UsageError("--lp-after-decimation needs --lp")
     if args.lp_after_decimation:
@@ -134,13 +142,11 @@ def cmd_norm(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    stages, carrier = _stages_from(args)
-    have_rate = carrier is not None and args.fs
-    period = carrier.sample_period if have_rate else 1.0
+    stages, _, period = _stages_from(args)
     bandwidth = tune_lp_bandwidth(stages, args.target_db, period)
     achieved = h2_norm_sq(stages + [make_lp(bandwidth, period)])
     print(f"omega_lp_over_omega_s = {bandwidth * period / _TWO_PI:.6g}")
-    if have_rate:
+    if args.fs is not None:
         print(f"omega_lp_rad_s = {bandwidth:.6g}")
         print(f"bandwidth_hz = {bandwidth / _TWO_PI:.6g}")
     print(f"achieved_db = {achieved.value_db:.4f}")
@@ -148,7 +154,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare_order(args) -> int:
-    stages, carrier = _stages_from(args)
+    stages, carrier, _ = _stages_from(args)
     if carrier is None:
         raise UsageError("compare-order needs --carrier M/N")
     if any(stage.pole is not None for stage in stages):
@@ -212,73 +218,63 @@ def _parse_harmonic(text: str) -> tuple[int, complex]:
         raise UsageError(f"bad harmonic {text!r}") from None
 
 
-def _simulation_setup(args) -> tuple[CarrierConfig, DdcChain]:
-    if args.preset_file is not None:
-        preset = load_preset_file(args.preset_file)
-    elif args.preset is not None:
-        preset = get_preset(args.preset)
-    else:
-        preset = None
-
-    if preset is not None:
-        carrier = preset.carrier
-        filter_spec = args.filter or preset.filter_spec
-        decimation = args.decimate if args.decimate is not None else preset.decimation
-        order = preset.order
-        default_lp_hz = preset.lp_bandwidth_hz
-    else:
+def _preset_from(args) -> Preset:
+    """The one preset a ``simulate`` chain starts from: ``--preset``,
+    ``--preset-file``, or ``--carrier`` with ``--filter``."""
+    if args.preset is not None and args.preset_file is not None:
+        raise UsageError("--preset and --preset-file exclude each other")
+    if args.preset is None and args.preset_file is None:
         carrier = _carrier_from(args)
         if carrier is None or args.filter is None:
             raise UsageError("simulate needs --preset/--preset-file or --carrier and --filter")
-        filter_spec = args.filter
-        decimation = args.decimate if args.decimate is not None else 1
-        order = ChainOrder.FILTER_THEN_DECIMATE
-        default_lp_hz = None
-    if args.order is not None:
-        order = ChainOrder(args.order)
+        return Preset("", carrier, args.filter)
+    if args.carrier is not None or args.fs is not None:
+        raise UsageError("a preset fixes its carrier; drop --carrier and --fs")
+    if args.preset_file is not None:
+        return load_preset_file(args.preset_file)
+    return get_preset(args.preset)
 
-    stages = parse_filter_spec(filter_spec, carrier)
+
+def _simulation_setup(args) -> tuple[CarrierConfig, DdcChain]:
+    preset = _preset_from(args)
+    carrier = preset.carrier
+    stages = parse_filter_spec(
+        preset.filter_spec if args.filter is None else args.filter, carrier
+    )
     if args.dcr:
-        stages = stages + [make_dcr(carrier)]
+        stages.append(make_dcr(carrier))
     if any(stage.pole is not None for stage in stages):
         raise UsageError(
             "simulate's DDC stage must be FIR; use --lp for extra low-pass "
             "filtering and --pre-mixer-hp for the passband DC reject"
         )
-    ddc = stages[0]
-    for stage in stages[1:]:
-        ddc = convolve(ddc, stage)
 
     lp_bandwidth = None
-    if args.lp is not None:
-        if args.lp == "default":
-            lp_hz = default_lp_hz
-            if lp_hz is None:
-                raise UsageError("--lp with no value needs a preset that has one")
-        else:
-            try:
-                lp_hz = float(args.lp)
-            except ValueError:
-                raise UsageError(f"bad --lp value {args.lp!r}") from None
-        lp_bandwidth = lp_hz * _TWO_PI
+    if args.lp == "default":
+        if preset.lp_bandwidth_hz is None:
+            raise UsageError("--lp with no value needs a preset that has one")
+        lp_bandwidth = preset.lp_bandwidth_hz * _TWO_PI
+    elif args.lp is not None:
+        try:
+            lp_bandwidth = float(args.lp) * _TWO_PI
+        except ValueError:
+            raise UsageError(f"bad --lp value {args.lp!r}") from None
 
-    pre = None
-    if args.pre_mixer_hp is not None:
-        pre = make_dc_reject_passband(args.pre_mixer_hp)
-    chain = make_chain(
+    return carrier, make_chain(
         carrier,
-        ddc,
+        functools.reduce(convolve, stages),
         lp_bandwidth=lp_bandwidth,
-        pre_mixer=pre,
-        decimation=decimation,
-        order=order,
+        pre_mixer=None if args.pre_mixer_hp is None else make_dc_reject_passband(args.pre_mixer_hp),
+        decimation=preset.decimation if args.decimate is None else args.decimate,
+        order=preset.order if args.order is None else ChainOrder(args.order),
     )
-    return carrier, chain
 
 
 def cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be a positive integer")
+    if args.seeds > 1 and args.out is not None:
+        raise UsageError("--out writes the trace of one experiment; it needs --seeds 1")
     carrier, chain = _simulation_setup(args)
     spec = SignalSpec(
         envelope=_parse_envelope(args.envelope),

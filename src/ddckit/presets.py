@@ -195,9 +195,12 @@ def load_preset_file(path: str) -> Preset:
         if required not in values:
             raise UsageError(f"{path}: missing required key {required!r}")
 
-    periods, samples = parse_ratio(values["ratio"])
     rate = _positive(path, "sample_rate", values["sample_rate"], float)
-    carrier = CarrierConfig(periods, samples, rate)
+    try:
+        carrier = CarrierConfig(*parse_ratio(values["ratio"]), rate)
+    except UsageError:
+        ratio = values["ratio"]
+        raise UsageError(f"{path}: bad ratio {ratio!r}; expected M/N with 0 < 2*M < N") from None
 
     lp_hz: float | None = None
     if values.get("lp_bandwidth_hz", "none").lower() not in ("", "none"):

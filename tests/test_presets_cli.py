@@ -1,5 +1,6 @@
 """Presets, the filter-spec grammar, and the command-line front end."""
 
+import argparse
 import csv
 import importlib.util
 import inspect
@@ -11,7 +12,7 @@ import re
 import pytest
 
 import ddckit as dk
-from ddckit.cli import main
+from ddckit.cli import build_parser, main
 from ddckit.presets import parse_complex, parse_filter_spec, parse_ratio
 
 
@@ -87,6 +88,9 @@ def test_preset_file_errors(tmp_path, content, match):
         "lp_bandwidth_hz = x",
         "sample_rate = nan",
         "sample_rate = -1e6",
+        "ratio = x",
+        "ratio = 2/4",
+        "ratio = 0/4",
     ],
 )
 def test_preset_file_refuses_a_bad_decimation_or_low_pass_naming_the_file(
@@ -217,6 +221,20 @@ def test_cli_norm_lp_after_decimation_needs_lp(capsys):
     assert "--lp" in capsys.readouterr().err
     # Decimating after the filters leaves the per-sample noise gain as it is.
     assert main(args) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--decimate", "-4"],
+        ["--decimate", "0"],
+        ["--decimate", "0", "--lp", "0.01", "--lp-after-decimation"],
+    ],
+)
+def test_cli_norm_refuses_a_decimation_below_one(capsys, flags):
+    assert main(["norm", "--filter", "ma:14", "--carrier", "3/14"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--decimate" in captured.err
 
 
 def test_cli_tune_middle_group(capsys):
@@ -371,6 +389,19 @@ def test_cli_simulate_trace_out(tmp_path, capsys):
     assert float(rows[50][3]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cli_simulate_refuses_a_trace_of_a_noise_study(monkeypatch, tmp_path, capsys):
+    def no_study(*args, **kwargs):
+        raise AssertionError("started a noise study whose trace would be dropped")
+
+    monkeypatch.setattr("ddckit.cli.noise_gain_study", no_study)
+    trace = tmp_path / "trace.csv"
+    args = ["simulate", "--preset", "ess", "--seeds", "2", "--samples", "2000"]
+    assert main(args + ["--out", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err
+    assert not trace.exists()
+
+
 def test_cli_simulate_needs_a_chain(capsys):
     assert main(["simulate", "--noise", "1"]) == 2
     assert "preset" in capsys.readouterr().err
@@ -427,6 +458,185 @@ def test_cli_simulate_noise_beyond_float_range_is_a_usage_error(capsys):
             "--samples", "2000"]
     assert main(args) == 2
     assert "noise_sigma" in capsys.readouterr().err
+
+
+# ------------------------------------------- one path from flags to a chain
+
+_RIG = (
+    "name = rig\nratio = 5/21\nsample_rate = 10e6\nfilter = ma:21\n"
+    "lp_bandwidth_hz = 5e5\ndecimation = 21\norder = decimate-then-filter\n"
+)
+
+
+def _rig(tmp_path):
+    path = tmp_path / "rig.cfg"
+    path.write_text(_RIG)
+    return str(path)
+
+
+_RATE_COMMANDS = {
+    "freq-response": ["--filter", "2sr", "--carrier", "7/33", "--points", "16", "--out", "{out}"],
+    "norm": ["--filter", "2sr", "--carrier", "7/33", "--lp", "0.01"],
+    "tune": ["--filter", "2sr", "--carrier", "7/33", "--target-db", "-15.2"],
+    "compare-order": ["--filter", "ma:14", "--carrier", "3/14", "--decimate", "14", "--out", "{out}"],
+    "simulate": ["--carrier", "7/33", "--filter", "2sr", "--samples", "200", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("fs", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(_RATE_COMMANDS))
+def test_cli_refuses_a_sample_rate_that_is_not_positive(tmp_path, capsys, command, fs):
+    out = tmp_path / "out.csv"
+    flags = [str(out) if f == "{out}" else f for f in _RATE_COMMANDS[command]]
+    assert main([command] + flags + ["--fs", fs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sample_rate" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--preset", "ess", "--carrier", "7/33"], "--carrier"),
+        (["--preset", "ess", "--fs", "1e6"], "--fs"),
+        (["--preset", "ess", "--preset-file", "{rig}"], "--preset-file"),
+        (["--preset-file", "{rig}", "--carrier", "5/21", "--fs", "10e6"], "--carrier"),
+        (["--preset", "ess", "--carrier", "7/33", "--seeds", "2"], "--carrier"),
+    ],
+)
+def test_cli_simulate_takes_its_chain_from_exactly_one_source(
+    monkeypatch, tmp_path, capsys, flags, named
+):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("ran an experiment on one of two chain sources")
+
+    monkeypatch.setattr("ddckit.cli.run_experiment", no_experiment)
+    monkeypatch.setattr("ddckit.cli.noise_gain_study", no_experiment)
+    rig = _rig(tmp_path)
+    argv = ["simulate"] + [rig if f == "{rig}" else f for f in flags]
+    assert main(argv + ["--noise", "1", "--samples", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize(
+    "by_preset,by_flags",
+    [
+        (
+            ["--preset", "ess"],
+            ["--carrier", "3/14", "--fs", "117.40e6", "--filter", "ma:14", "--decimate", "14"],
+        ),
+        (
+            ["--preset", "lcls2", "--lp"],
+            ["--carrier", "7/33", "--fs", "94.29e6", "--filter", "2sr", "--lp", "100e3"],
+        ),
+        (
+            ["--preset-file", "{rig}", "--lp"],
+            ["--carrier", "5/21", "--fs", "10e6", "--filter", "ma:21", "--lp", "5e5",
+             "--decimate", "21", "--order", "decimate-then-filter"],
+        ),
+    ],
+)
+def test_cli_simulate_prints_the_same_bytes_for_a_preset_and_its_flags(
+    tmp_path, capsys, by_preset, by_flags
+):
+    rig = _rig(tmp_path)
+    common = ["--noise", "0.5", "--dc-offset", "0.01", "--samples", "45000"]
+    assert main(["simulate"] + [rig if f == "{rig}" else f for f in by_preset] + common) == 0
+    first = capsys.readouterr().out
+    assert main(["simulate"] + by_flags + common) == 0
+    assert capsys.readouterr().out == first
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **values):
+        super().__init__(**values)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# Valid argvs that, per subcommand, together set every flag it declares.
+_EVERY_FLAG = {
+    "freq-response": [
+        ["--filter", "2sr", "--carrier", "7/33", "--fs", "94.29e6", "--points", "16",
+         "--out", "{out}"],
+    ],
+    "norm": [
+        ["--filter", "ma:14", "--carrier", "3/14", "--fs", "117.4e6", "--lp", "0.01",
+         "--decimate", "14", "--lp-after-decimation"],
+        ["--filter", "ma:14", "--carrier", "3/14", "--decimate", "14"],
+    ],
+    "tune": [
+        ["--filter", "2sr", "--carrier", "7/33", "--fs", "94.29e6", "--target-db", "-15.2"],
+    ],
+    "compare-order": [
+        ["--filter", "ma:14", "--carrier", "3/14", "--fs", "117.4e6", "--decimate", "14",
+         "--sweep-points", "3", "--sweep-min", "1e-3", "--sweep-max", "1e-2",
+         "--out", "{out}"],
+    ],
+    "simulate": [
+        ["--carrier", "7/33", "--fs", "94.29e6", "--filter", "2sr", "--envelope",
+         "step:1:2:500", "--noise", "0.01", "--dc-offset", "0.001", "--harmonic",
+         "2:0.01", "--dcr", "--pre-mixer-hp", "0.9375", "--lp", "2e6", "--decimate",
+         "3", "--order", "decimate-then-filter", "--samples", "7000", "--seed", "4",
+         "--out", "{out}"],
+        ["--preset", "ess", "--noise", "1", "--seeds", "2", "--samples", "2000"],
+        ["--preset-file", "{rig}", "--lp", "--samples", "3000"],
+    ],
+    "preset": [["list"], ["show", "lcls2"], ["show", "--file", "{rig}"]],
+}
+
+
+def _subparsers():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _declared(command):
+    return [a for a in _subparsers()[command]._actions if a.dest != "help"]
+
+
+def _set_by(command, argv, args):
+    """The destinations that ``argv`` sets: an option named in it, or a
+    positional parsed to a value."""
+    named = {token.split("=", 1)[0] for token in argv}
+    return {
+        action.dest
+        for action in _declared(command)
+        if (named & set(action.option_strings))
+        or (not action.option_strings and getattr(args, action.dest) is not None)
+    }
+
+
+def test_the_argvs_of_the_flag_guard_set_every_declared_flag():
+    assert set(_EVERY_FLAG) == set(_subparsers())
+    for command, argvs in _EVERY_FLAG.items():
+        parser = build_parser()
+        covered = set()
+        for argv in argvs:
+            covered |= _set_by(command, argv, parser.parse_args([command] + argv))
+        assert covered == {action.dest for action in _declared(command)}, command
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [(command, argv) for command, argvs in _EVERY_FLAG.items() for argv in argvs],
+)
+def test_every_flag_set_on_the_command_line_is_read(tmp_path, capsys, command, argv):
+    subs = {"{out}": str(tmp_path / "out.csv"), "{rig}": _rig(tmp_path)}
+    argv = [subs.get(token, token) for token in argv]
+    parsed = build_parser().parse_args([command] + argv)
+    args = _ReadRecorder(**vars(parsed))
+    assert parsed.func(args) == 0
+    capsys.readouterr()
+    unread = _set_by(command, argv, parsed) - args._reads
+    assert not unread, f"{command} drops {sorted(unread)}"
 
 
 # ------------------------------------------------------ benchmark trace names
