@@ -2,9 +2,11 @@
 low-pass tuning, filtering/decimation ordering sweeps, and simulation runs.
 
 Every command reads ``--carrier`` and ``--fs`` in one place; ``--fs``
-defaults to 1 Hz only when it is absent.  A ``simulate`` chain starts from
-exactly one preset: ``--preset``, ``--preset-file``, or ``--carrier`` with
-``--filter``; the remaining flags override it.
+defaults to 1 Hz only when it is absent.  ``norm`` and ``compare-order`` take
+their bandwidths in units of the sample rate, so they refuse ``--fs``.  A
+``simulate`` chain starts from exactly one preset: ``--preset``,
+``--preset-file``, or ``--carrier`` with ``--filter``; the remaining flags
+override it.
 
 Exit codes: 0 on success, 1 on numeric/domain errors (e.g. an unachievable
 tuning target), 2 on usage errors (bad flags, malformed specs).
@@ -124,7 +126,16 @@ def cmd_freq_response(args) -> int:
     return 0
 
 
+def _refuse_rate(args) -> None:
+    if args.fs is not None:
+        raise UsageError(
+            f"{args.command} takes bandwidths in units of the sample rate, so sample_rate "
+            "is 1; drop --fs"
+        )
+
+
 def cmd_norm(args) -> int:
+    _refuse_rate(args)
     stages, _, period = _stages_from(args)
     if args.decimate < 1:
         raise UsageError("--decimate must be a positive integer")
@@ -154,6 +165,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare_order(args) -> int:
+    _refuse_rate(args)
     stages, carrier, _ = _stages_from(args)
     if carrier is None:
         raise UsageError("compare-order needs --carrier M/N")
@@ -346,9 +358,13 @@ def cmd_preset(args) -> int:
     return 0
 
 
-def _add_carrier_options(parser: argparse.ArgumentParser) -> None:
+def _add_carrier_options(parser: argparse.ArgumentParser, rate: bool = True) -> None:
+    """``--carrier`` and ``--fs``; a command without a rate (``rate`` false)
+    hides ``--fs`` from its help and refuses it."""
     parser.add_argument("--carrier", metavar="M/N", help="carrier ratio, e.g. 7/33")
-    parser.add_argument("--fs", type=float, help="sample rate in Hz")
+    parser.add_argument(
+        "--fs", type=float, help="sample rate in Hz" if rate else argparse.SUPPRESS
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="squared H2 norm of a filter cascade")
     p.add_argument("--filter", required=True)
-    _add_carrier_options(p)
+    _add_carrier_options(p, rate=False)
     p.add_argument("--lp", type=float, help="extra low-pass bandwidth as omega/omega_s")
     p.add_argument("--decimate", type=_int_flag, default=1)
     p.add_argument(
@@ -388,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise rejection with decimation before vs after the low-pass",
     )
     p.add_argument("--filter", required=True)
-    _add_carrier_options(p)
+    _add_carrier_options(p, rate=False)
     p.add_argument("--decimate", type=_int_flag, required=True)
     p.add_argument("--sweep-points", type=_int_flag, default=25)
     p.add_argument("--sweep-min", type=float, default=1e-4)

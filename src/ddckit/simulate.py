@@ -11,13 +11,17 @@ per spec, which pins every experiment to a reproducible stream.  One helper
 draws that noise, a chain chunk at a time; chunked draws are bitwise the
 one-shot draw.  A noise study streams each chunk through the chain as it is
 drawn and keeps only the output power after the transient, so its memory does
-not grow with the whole noise or output.
+not grow with the whole noise or output.  One worker thread draws the study's
+noise, at most one chunk ahead of the chunk the chain is stepping, so the draw
+runs beside the chain pass; the chunks and every number are bitwise those of
+drawing them in turn.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union, get_args
 
@@ -202,6 +206,69 @@ def _adc_noise(sigma: float, seed: int, count: int) -> Iterator[np.ndarray]:
         yield chunk
 
 
+class _NoiseAhead:
+    """The ADC noise of a noise study, seed after seed, drawn by one worker
+    thread at most one chunk ahead of the chunk the caller is stepping.
+
+    The worker runs :func:`_adc_noise` for each seed in order and hands each
+    chunk over through one slot.  It draws the next chunk only once the
+    caller has taken the last, so the caller gets the chunks, in their order
+    and with their bits, that it would have drawn itself.  numpy draws with
+    the GIL released, so the draw runs beside the caller's chain pass.  The
+    worker releases ``_ready`` when the slot holds a chunk, the caller
+    releases ``_taken`` when it has taken it, and each waits on the other's
+    lock.  A failed draw is raised again in the caller, as the same
+    exception.  Leaving the ``with`` block, on success or failure, stops the
+    worker and joins it."""
+
+    def __init__(self, sigma: float, seeds: Sequence[int], count: int) -> None:
+        self._per_seed = len(range(0, count, _CHUNK))
+        self._ready = threading.Lock()
+        self._taken = threading.Lock()
+        self._ready.acquire()
+        self._taken.acquire()
+        self._slot: np.ndarray | BaseException | None = None
+        self._stopped = False
+        self._worker = threading.Thread(
+            target=self._draw, args=(sigma, seeds, count), name="ddckit-noise-draw"
+        )
+
+    def __enter__(self) -> _NoiseAhead:
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stopped = True
+        try:  # wakes a worker that waits for a take
+            self._taken.release()
+        except RuntimeError:  # already free: the worker sees the stop next
+            pass
+        self._worker.join()
+
+    def _draw(self, sigma: float, seeds: Sequence[int], count: int) -> None:
+        try:
+            for seed in seeds:
+                for chunk in _adc_noise(sigma, seed, count):
+                    self._slot = chunk
+                    self._ready.release()
+                    self._taken.acquire()
+                    if self._stopped:
+                        return
+        except BaseException as exc:
+            self._slot = exc
+            self._ready.release()
+
+    def next_seed(self) -> Iterator[np.ndarray]:
+        """The next seed's noise, in the chunks it was drawn in."""
+        for _ in range(self._per_seed):
+            self._ready.acquire()
+            chunk, self._slot = self._slot, None
+            if isinstance(chunk, BaseException):
+                raise chunk
+            self._taken.release()
+            yield chunk
+
+
 def _adc_stream(
     spec: SignalSpec, carrier: CarrierConfig, count: int
 ) -> tuple[RealSeq, list[np.ndarray]]:
@@ -291,8 +358,11 @@ def _noise_power(
     # The stepper first: the first pass over a carrier ratio builds the mixer
     # table that is kept, and built before the power array it sits below it
     # in the heap, so the array's memory can go back to the system once it
-    # is freed.  Built after it (glibc), the tables raised the peak RSS of
-    # the ten AC-7 noise studies from 41.5 to 45.7 MB instead of 42.5 MB.
+    # is freed.  A study's chunks come from its drawing thread's own malloc
+    # arena and do not change this.  Built after the array (glibc), the
+    # tables raised the peak RSS of the ten AC-7 noise studies in 4 of 11
+    # runs, from 46.2-46.5 MB to 52.8-53.2 MB; built first, 11 of 11 runs
+    # read 46.3-46.5 MB.
     step = _Stepper(chain, 0).step
     outputs = len(range(chain.decimation_phase, count, chain.decimation))
     power = np.empty(outputs - j0)
@@ -431,8 +501,13 @@ def noise_gain_study(
     chunk at a time and streamed through the chain, and the estimate is the
     mean of the post-transient output power, held in one array per seed; the
     numbers are bitwise those of running the chain on the whole noise at
-    once.  By linearity, only ``spec.noise_sigma`` affects the estimate: the
-    envelope, harmonics, DC offset and ``spec.seed`` do not.
+    once.  One worker thread, started after the arguments are checked and
+    joined before the study returns or raises, draws the seeds' noise in
+    order, at most one chunk ahead of the chunk the chain is stepping: the
+    draw, which numpy runs with the GIL released, overlaps the chain pass,
+    and the numbers do not change.  A failed draw is raised here as the same
+    exception.  By linearity, only ``spec.noise_sigma`` affects the
+    estimate: the envelope, harmonics, DC offset and ``spec.seed`` do not.
     """
     _check_type(spec, SignalSpec, "the signal spec")
     _check_type(chain, DdcChain, "the chain")
@@ -452,11 +527,12 @@ def noise_gain_study(
     scale = 4.0 * spec.noise_sigma**2
     # A noise power beyond the float range leaves a non-finite estimate, which
     # the report refuses with DomainError.
-    gains = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for seed in seeds:
-            noise = _adc_noise(spec.noise_sigma, seed, count)
-            gains.append(float(np.mean(_noise_power(chain, noise, count, j0))) / scale)
+        with _NoiseAhead(spec.noise_sigma, seeds, count) as noise:
+            gains = [
+                float(np.mean(_noise_power(chain, noise.next_seed(), count, j0))) / scale
+                for _ in seeds
+            ]
         gains_arr = np.asarray(gains)
         value = float(np.mean(gains_arr))
         stderr = float(np.std(gains_arr, ddof=1) / math.sqrt(len(gains_arr)))

@@ -494,6 +494,32 @@ def test_cli_refuses_a_sample_rate_that_is_not_positive(tmp_path, capsys, comman
     assert not out.exists()
 
 
+# Commands that take their bandwidths in units of the sample rate, with a
+# valid argv each: they declare --fs only to refuse it.
+_RATE_FREE_COMMANDS = {
+    "norm": ["--filter", "ma:14", "--carrier", "3/14", "--lp", "0.01"],
+    "compare-order": ["--filter", "ma:14", "--carrier", "3/14", "--decimate", "14",
+                      "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("fs", ["0", "-1", "117.4e6", "5"])
+@pytest.mark.parametrize("command", sorted(_RATE_FREE_COMMANDS))
+def test_cli_refuses_a_sample_rate_where_bandwidths_are_in_its_units(
+    tmp_path, capsys, command, fs
+):
+    out = tmp_path / "out.csv"
+    flags = [str(out) if f == "{out}" else f for f in _RATE_FREE_COMMANDS[command]]
+    assert main([command] + flags) == 0
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    assert main([command] + flags + ["--fs", fs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "units of the sample rate" in captured.err and "--fs" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags,named",
     [
@@ -568,17 +594,16 @@ _EVERY_FLAG = {
          "--out", "{out}"],
     ],
     "norm": [
-        ["--filter", "ma:14", "--carrier", "3/14", "--fs", "117.4e6", "--lp", "0.01",
-         "--decimate", "14", "--lp-after-decimation"],
+        ["--filter", "ma:14", "--carrier", "3/14", "--lp", "0.01", "--decimate", "14",
+         "--lp-after-decimation"],
         ["--filter", "ma:14", "--carrier", "3/14", "--decimate", "14"],
     ],
     "tune": [
         ["--filter", "2sr", "--carrier", "7/33", "--fs", "94.29e6", "--target-db", "-15.2"],
     ],
     "compare-order": [
-        ["--filter", "ma:14", "--carrier", "3/14", "--fs", "117.4e6", "--decimate", "14",
-         "--sweep-points", "3", "--sweep-min", "1e-3", "--sweep-max", "1e-2",
-         "--out", "{out}"],
+        ["--filter", "ma:14", "--carrier", "3/14", "--decimate", "14", "--sweep-points", "3",
+         "--sweep-min", "1e-3", "--sweep-max", "1e-2", "--out", "{out}"],
     ],
     "simulate": [
         ["--carrier", "7/33", "--fs", "94.29e6", "--filter", "2sr", "--envelope",
@@ -615,10 +640,12 @@ def _set_by(command, argv, args):
 
 
 def test_the_argvs_of_the_flag_guard_set_every_declared_flag():
+    # A declared flag is either set by one of these valid argvs, so the guard
+    # below sees whether it is read, or refused whatever its value.
     assert set(_EVERY_FLAG) == set(_subparsers())
     for command, argvs in _EVERY_FLAG.items():
         parser = build_parser()
-        covered = set()
+        covered = {"fs"} if command in _RATE_FREE_COMMANDS else set()
         for argv in argvs:
             covered |= _set_by(command, argv, parser.parse_args([command] + argv))
         assert covered == {action.dest for action in _declared(command)}, command

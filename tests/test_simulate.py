@@ -1,6 +1,9 @@
 """Synthetic streams and experiments against the analytic baseband model."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -411,6 +414,174 @@ def test_noise_gain_study_holds_only_the_output_power_in_memory():
         tracemalloc.stop()
     power = 8 * (count - dk.transient_length(chain))
     assert peak < power + 2 * 2**20
+
+
+# A study draws its noise on one worker thread, a chunk ahead of the chain.
+
+def _outcome_within(seconds, call):
+    """What ``call`` returned or raised, run on a thread of its own so that a
+    study that hangs fails the test instead of stalling the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the study did not finish within {seconds} s"
+    return outcome[0]
+
+
+def _threaded_study(count=2 * dk.pipeline._CHUNK + 5_000, seeds=(2, 5, 11)):
+    spec = dk.SignalSpec(noise_sigma=1.3)
+    return lambda: dk.noise_gain_study(spec, _study_chain(), count, list(seeds))
+
+
+def test_noise_gain_study_leaves_no_thread_behind():
+    before = threading.active_count()
+    report = _outcome_within(60, _threaded_study())
+    assert isinstance(report, dk.NormReport)
+    assert threading.active_count() == before
+
+
+def test_a_refused_noise_gain_study_starts_no_thread(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew noise for a refused study")
+
+    monkeypatch.setattr("ddckit.simulate._adc_noise", no_draw)
+    before = threading.active_count()
+    with pytest.raises(dk.UsageError, match="distinct"):
+        _threaded_study(seeds=(3, 3))()
+    assert threading.active_count() == before
+
+
+def test_a_failing_chain_pass_stops_the_drawing_thread(monkeypatch):
+    # The worker is still drawing the fourth chunk when the third one fails.
+    failure = RuntimeError("the third chunk")
+    real_step, real_noise = dk.pipeline._Stepper.step, dk.simulate._adc_noise
+    steps = []
+
+    def slow_noise(*args):
+        for chunk in real_noise(*args):
+            time.sleep(0.05)
+            yield chunk
+
+    def failing_step(self, values):
+        steps.append(len(values))
+        if len(steps) == 3:
+            time.sleep(0.01)  # the worker starts on the next chunk
+            raise failure
+        return real_step(self, values)
+
+    monkeypatch.setattr(dk.pipeline._Stepper, "step", failing_step)
+    monkeypatch.setattr("ddckit.simulate._adc_noise", slow_noise)
+    before = threading.active_count()
+    assert _outcome_within(60, _threaded_study()) is failure
+    assert len(steps) == 3
+    assert threading.active_count() == before
+
+
+def test_a_failing_draw_is_raised_in_the_caller(monkeypatch):
+    failure = MemoryError("mid-seed")
+    real_noise = dk.simulate._adc_noise
+
+    def failing_noise(sigma, seed, count):
+        chunks = real_noise(sigma, seed, count)
+        yield next(chunks)
+        if seed == 5:
+            raise failure
+        yield from chunks
+
+    monkeypatch.setattr("ddckit.simulate._adc_noise", failing_noise)
+    before = threading.active_count()
+    assert _outcome_within(60, _threaded_study()) is failure
+    assert threading.active_count() == before
+
+
+def test_the_noise_is_drawn_on_a_worker_at_most_one_chunk_ahead(monkeypatch):
+    drawn, ahead, drawers = [], [], set()
+    real_noise, real_step = dk.simulate._adc_noise, dk.pipeline._Stepper.step
+
+    def counted_noise(sigma, seed, count):
+        for chunk in real_noise(sigma, seed, count):
+            drawers.add(threading.get_ident())
+            drawn.append(1)
+            yield chunk
+
+    def counted_step(self, values):
+        time.sleep(0.002)  # room for the worker to draw what it may
+        ahead.append(len(drawn) - len(ahead) - 1)
+        return real_step(self, values)
+
+    monkeypatch.setattr("ddckit.simulate._adc_noise", counted_noise)
+    monkeypatch.setattr(dk.pipeline._Stepper, "step", counted_step)
+    _threaded_study()()
+    assert drawers and threading.get_ident() not in drawers
+    assert len(ahead) == len(drawn) == 3 * 3
+    assert 0 <= min(ahead) and max(ahead) <= 1
+
+
+@pytest.mark.parametrize("slowed", ["chain", "draw"])
+def test_noise_gain_study_does_not_depend_on_how_its_threads_interleave(
+    monkeypatch, slowed
+):
+    study = _threaded_study()
+    unslowed = study()
+    if slowed == "chain":
+        real_step = dk.pipeline._Stepper.step
+
+        def slow_step(self, values):
+            time.sleep(0.001)
+            return real_step(self, values)
+
+        monkeypatch.setattr(dk.pipeline._Stepper, "step", slow_step)
+    else:
+        real_noise = dk.simulate._adc_noise
+
+        def slow_noise(*args):
+            for chunk in real_noise(*args):
+                time.sleep(0.001)
+                yield chunk
+
+        monkeypatch.setattr("ddckit.simulate._adc_noise", slow_noise)
+    slow = study()
+    assert (
+        np.array([slow.value, slow.stderr]).tobytes()
+        == np.array([unslowed.value, unslowed.stderr]).tobytes()
+    )
+
+
+def test_concurrent_noise_gain_studies_under_fast_thread_switching():
+    # Three studies at once, six threads on two cores, switching threads
+    # every microsecond: each study gives the bytes it gives alone.
+    studies = [_threaded_study(seeds=(s, s + 1, s + 2)) for s in (1, 10, 20)]
+    alone = [study() for study in studies]
+    outcomes = [[] for _ in studies]
+    threads = [
+        threading.Thread(target=lambda s=s, o=o: o.append(s()), daemon=True)
+        for s, o in zip(studies, outcomes)
+    ]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threading.active_count() == before
+    for report, (together,) in zip(alone, outcomes):
+        assert (
+            np.array([together.value, together.stderr]).tobytes()
+            == np.array([report.value, report.stderr]).tobytes()
+        )
 
 
 def test_signal_beyond_float_range_is_a_domain_error():
