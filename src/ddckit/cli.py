@@ -178,6 +178,13 @@ def cmd_compare_order(args) -> int:
         raise UsageError("--sweep-min and --sweep-max must be positive finite numbers")
     factor = args.decimate
     sweep = np.geomspace(args.sweep_min, args.sweep_max, args.sweep_points)
+    try:  # the narrowest low-pass has the pole nearest 1
+        make_lp(sweep.min() * _TWO_PI, 1.0)
+    except UsageError:
+        raise UsageError(
+            f"--sweep-min and --sweep-max must keep the low-pass pole below 1, "
+            f"which a bandwidth of {sweep.min():.3g} rounds to 1"
+        ) from None
 
     def rows():
         for rel in sweep:

@@ -12,17 +12,20 @@ draws that noise, a chain chunk at a time; chunked draws are bitwise the
 one-shot draw.  A noise study streams each chunk through the chain as it is
 drawn and keeps only the output power after the transient, so its memory does
 not grow with the whole noise or output.  One worker thread draws the study's
-noise, at most one chunk ahead of the chunk the chain is stepping, so the draw
-runs beside the chain pass; the chunks and every number are bitwise those of
+noise and hands the chunks over through one bounded queue, so the draw runs
+beside the chain pass; the chunks and every number are bitwise those of
 drawing them in turn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import queue
 import threading
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union, get_args
 
 import numpy as np
@@ -206,67 +209,49 @@ def _adc_noise(sigma: float, seed: int, count: int) -> Iterator[np.ndarray]:
         yield chunk
 
 
-class _NoiseAhead:
-    """The ADC noise of a noise study, seed after seed, drawn by one worker
-    thread at most one chunk ahead of the chunk the caller is stepping.
+_AHEAD = 2  # drawn chunks a noise study's queue holds
 
-    The worker runs :func:`_adc_noise` for each seed in order and hands each
-    chunk over through one slot.  It draws the next chunk only once the
-    caller has taken the last, so the caller gets the chunks, in their order
-    and with their bits, that it would have drawn itself.  numpy draws with
-    the GIL released, so the draw runs beside the caller's chain pass.  The
-    worker releases ``_ready`` when the slot holds a chunk, the caller
-    releases ``_taken`` when it has taken it, and each waits on the other's
-    lock.  A failed draw is raised again in the caller, as the same
-    exception.  Leaving the ``with`` block, on success or failure, stops the
-    worker and joins it."""
 
-    def __init__(self, sigma: float, seeds: Sequence[int], count: int) -> None:
-        self._per_seed = len(range(0, count, _CHUNK))
-        self._ready = threading.Lock()
-        self._taken = threading.Lock()
-        self._ready.acquire()
-        self._taken.acquire()
-        self._slot: np.ndarray | BaseException | None = None
-        self._stopped = False
-        self._worker = threading.Thread(
-            target=self._draw, args=(sigma, seeds, count), name="ddckit-noise-draw"
-        )
+def _noise_ahead(sigma: float, seeds: Sequence[int], count: int) -> Iterator[np.ndarray]:
+    """The ADC noise of a noise study, seed after seed, in the chunks
+    :func:`_adc_noise` draws, drawn ahead of the caller by one worker thread.
 
-    def __enter__(self) -> _NoiseAhead:
-        self._worker.start()
-        return self
+    The worker puts each chunk in order into one queue of depth ``_AHEAD``,
+    so the caller gets the chunks, with their bits, that it would have drawn
+    itself, and the worker is never more than ``_AHEAD + 1`` chunks ahead.
+    numpy draws with the GIL released, so the draw runs beside the caller's
+    chain pass.  A failed draw is put in the queue and raised here as the
+    same exception.  The worker checks a stop flag before each put.  Closing
+    the generator, which the caller does on success or failure, sets the
+    flag, drains the queue and joins the worker: after the drain the worker
+    puts at most one more chunk, and the queue has room for it."""
+    ready = queue.Queue(_AHEAD)
+    stop = threading.Event()
 
-    def __exit__(self, *exc_info) -> None:
-        self._stopped = True
-        try:  # wakes a worker that waits for a take
-            self._taken.release()
-        except RuntimeError:  # already free: the worker sees the stop next
-            pass
-        self._worker.join()
-
-    def _draw(self, sigma: float, seeds: Sequence[int], count: int) -> None:
+    def draw() -> None:
         try:
             for seed in seeds:
                 for chunk in _adc_noise(sigma, seed, count):
-                    self._slot = chunk
-                    self._ready.release()
-                    self._taken.acquire()
-                    if self._stopped:
+                    if stop.is_set():
                         return
+                    ready.put(chunk)
         except BaseException as exc:
-            self._slot = exc
-            self._ready.release()
+            if not stop.is_set():
+                ready.put(exc)
 
-    def next_seed(self) -> Iterator[np.ndarray]:
-        """The next seed's noise, in the chunks it was drawn in."""
-        for _ in range(self._per_seed):
-            self._ready.acquire()
-            chunk, self._slot = self._slot, None
+    worker = threading.Thread(target=draw, name="ddckit-noise-draw")
+    worker.start()
+    try:
+        for _ in range(len(seeds) * len(range(0, count, _CHUNK))):
+            chunk = ready.get()
             if isinstance(chunk, BaseException):
                 raise chunk
-            self._taken.release()
             yield chunk
+    finally:
+        stop.set()
+        while not ready.empty():  # the caller is the only taker
+            ready.get()
+        worker.join()
 
 
 def _adc_stream(
@@ -359,10 +344,10 @@ def _noise_power(
     # table that is kept, and built before the power array it sits below it
     # in the heap, so the array's memory can go back to the system once it
     # is freed.  A study's chunks come from its drawing thread's own malloc
-    # arena and do not change this.  Built after the array (glibc), the
-    # tables raised the peak RSS of the ten AC-7 noise studies in 4 of 11
-    # runs, from 46.2-46.5 MB to 52.8-53.2 MB; built first, 11 of 11 runs
-    # read 46.3-46.5 MB.
+    # arena.  Peak RSS of ten noise studies on the benchmark's chains (2**19
+    # samples, 4 seeds, a fresh interpreter, glibc): built first, 109 of 113
+    # runs read 43.0-43.4 MB and 4 read 47.0-47.1 MB; built after the array,
+    # 5 of 16 runs read 46.1-46.4 MB.
     step = _Stepper(chain, 0).step
     outputs = len(range(chain.decimation_phase, count, chain.decimation))
     power = np.empty(outputs - j0)
@@ -503,7 +488,7 @@ def noise_gain_study(
     numbers are bitwise those of running the chain on the whole noise at
     once.  One worker thread, started after the arguments are checked and
     joined before the study returns or raises, draws the seeds' noise in
-    order, at most one chunk ahead of the chunk the chain is stepping: the
+    order into a queue of a few chunks that the chain pass takes from: the
     draw, which numpy runs with the GIL released, overlaps the chain pass,
     and the numbers do not change.  A failed draw is raised here as the same
     exception.  By linearity, only ``spec.noise_sigma`` affects the
@@ -528,9 +513,10 @@ def noise_gain_study(
     # A noise power beyond the float range leaves a non-finite estimate, which
     # the report refuses with DomainError.
     with np.errstate(over="ignore", invalid="ignore"):
-        with _NoiseAhead(spec.noise_sigma, seeds, count) as noise:
+        per_seed = len(range(0, count, _CHUNK))
+        with contextlib.closing(_noise_ahead(spec.noise_sigma, seeds, count)) as noise:
             gains = [
-                float(np.mean(_noise_power(chain, noise.next_seed(), count, j0))) / scale
+                float(np.mean(_noise_power(chain, islice(noise, per_seed), count, j0))) / scale
                 for _ in seeds
             ]
         gains_arr = np.asarray(gains)

@@ -281,6 +281,7 @@ def test_cli_compare_order_sweep(capsys):
         ["--sweep-points", "0"],
         ["--sweep-min", "0"],
         ["--sweep-min", "nan"],
+        ["--sweep-min", "5e-18"],  # rounds the full-rate low-pass pole to 1
         ["--sweep-max", "inf"],
         ["--sweep-max", "-0.01"],
         ["--decimate", "0"],

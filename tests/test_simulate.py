@@ -416,7 +416,8 @@ def test_noise_gain_study_holds_only_the_output_power_in_memory():
     assert peak < power + 2 * 2**20
 
 
-# A study draws its noise on one worker thread, a chunk ahead of the chain.
+# A study draws its noise on one worker thread, through a bounded queue, ahead
+# of the chain.
 
 def _outcome_within(seconds, call):
     """What ``call`` returned or raised, run on a thread of its own so that a
@@ -502,7 +503,67 @@ def test_a_failing_draw_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_the_noise_is_drawn_on_a_worker_at_most_one_chunk_ahead(monkeypatch):
+def test_a_chain_that_fails_while_the_queue_is_full_stops_the_drawing_thread(monkeypatch):
+    # The first chunk fails once the worker has filled the queue and drawn
+    # one more chunk, which it is blocked putting.
+    failure = RuntimeError("the first chunk")
+    real_noise = dk.simulate._adc_noise
+    drawn, blocked = [], threading.Event()
+
+    def counted_noise(*args):
+        for chunk in real_noise(*args):
+            drawn.append(1)
+            if len(drawn) == dk.simulate._AHEAD + 2:
+                blocked.set()
+            yield chunk
+
+    def failing_step(self, values):
+        assert blocked.wait(10), "the worker did not fill the queue"
+        time.sleep(0.01)  # the worker reaches its put
+        raise failure
+
+    monkeypatch.setattr(dk.pipeline._Stepper, "step", failing_step)
+    monkeypatch.setattr("ddckit.simulate._adc_noise", counted_noise)
+    before = threading.active_count()
+    assert _outcome_within(60, _threaded_study()) is failure
+    # The stepped chunk, the queue's, the blocked one and at most one more.
+    assert len(drawn) <= dk.simulate._AHEAD + 3 < 3 * 3
+    assert threading.active_count() == before
+
+
+def test_a_draw_that_fails_while_the_queue_is_full_is_raised_after_its_chunks(
+    monkeypatch,
+):
+    # The first step waits until the draw of the fourth chunk, the second
+    # seed's first, has failed: the queue then holds the second and third.
+    failure = MemoryError("the second seed")
+    real_step, real_noise = dk.pipeline._Stepper.step, dk.simulate._adc_noise
+    failed, steps, waits = threading.Event(), [], []
+
+    def failing_noise(sigma, seed, count):
+        if seed == 5:
+            failed.set()
+            raise failure
+        yield from real_noise(sigma, seed, count)
+
+    def waiting_step(self, values):
+        if not steps:
+            waits.append(failed.wait(10))
+        steps.append(len(values))
+        return real_step(self, values)
+
+    monkeypatch.setattr(dk.pipeline._Stepper, "step", waiting_step)
+    monkeypatch.setattr("ddckit.simulate._adc_noise", failing_noise)
+    before = threading.active_count()
+    assert _outcome_within(60, _threaded_study()) is failure
+    assert waits == [True]
+    assert len(steps) == 3  # the first seed's chunks, all drawn before the failure
+    assert threading.active_count() == before
+
+
+def test_the_noise_is_drawn_on_a_worker_at_most_the_queue_and_one_chunk_ahead(
+    monkeypatch,
+):
     drawn, ahead, drawers = [], [], set()
     real_noise, real_step = dk.simulate._adc_noise, dk.pipeline._Stepper.step
 
@@ -522,7 +583,9 @@ def test_the_noise_is_drawn_on_a_worker_at_most_one_chunk_ahead(monkeypatch):
     _threaded_study()()
     assert drawers and threading.get_ident() not in drawers
     assert len(ahead) == len(drawn) == 3 * 3
-    assert 0 <= min(ahead) and max(ahead) <= 1
+    # Beyond the chunk being stepped: the queue's chunks and the one the
+    # worker holds while it waits to put it.
+    assert 0 <= min(ahead) and max(ahead) <= dk.simulate._AHEAD + 1
 
 
 @pytest.mark.parametrize("slowed", ["chain", "draw"])
