@@ -295,6 +295,46 @@ def _energy_terms(
     return head, v, gram
 
 
+def _norm_sq(
+    stages: Sequence[ComplexFilter], lowrate: Sequence[ComplexFilter] = (), factor: int = 1
+) -> float:
+    """Exact impulse energy of the cascade ``stages``, then, when
+    ``lowrate`` is given, a decimator by ``factor`` and the cascade
+    ``lowrate`` at the decimated rate: the one body of :func:`h2_norm_sq`,
+    :func:`multirate_norm_sq` and the chains' noise gain.
+
+    Decimating and then filtering has the same output variance under white
+    input as the single-rate cascade with each low-rate filter in
+    ``z^factor`` (the noble identity), which is what this computes.  With
+    ``N = factor``, each full-rate pole moves to ``z^-N`` through ``1/(1 - p
+    z^-1) = sum_{m<N} p^m z^-m / (1 - p^N z^-N)``, which leaves a rational
+    function whose denominator is a polynomial in ``z^-N``.  The lift runs
+    whenever there is a low-rate cascade, even at ``N = 1``: the lifted
+    poles are numpy scalars, and the Gramian's complex arithmetic on them
+    can round differently from that on Python's.
+    """
+    taps, poles = _materialize(stages)
+    if not lowrate:
+        if not poles:  # _energy's sum, without its zero-padded copy
+            return float(np.vdot(taps, taps).real)
+        return _energy(taps, poles, [1.0 - p for p in poles], 1)
+    lifted, gaps = [], []
+    for p in poles:
+        powers = p ** np.arange(factor)
+        taps = np.convolve(taps, powers)
+        lifted.append(powers[-1] * p)
+        # 1 - p^N = (1 - p) * sum_{m<N} p^m, without cancellation near one.
+        gaps.append((1.0 - p) * complex(np.sum(powers)))
+    for stage in lowrate:
+        up = np.zeros((len(stage.taps) - 1) * factor + 1, dtype=np.complex128)
+        up[::factor] = stage.taps
+        taps = np.convolve(taps, up)
+        if stage.pole is not None:
+            lifted.append(stage.pole)
+            gaps.append(1.0 - stage.pole)
+    return _energy(taps, lifted, gaps, factor)
+
+
 def h2_norm_sq(obj: FilterOrCascade) -> NormReport:
     """Squared H2 norm (impulse energy) of a filter or cascade.
 
@@ -302,12 +342,7 @@ def h2_norm_sq(obj: FilterOrCascade) -> NormReport:
     always ``closed-form`` and matches a 50-digit reference to 1e-13
     relative in the tests.
     """
-    taps, poles = _materialize(_as_stages(obj))
-    if poles:
-        value = _energy(taps, poles, [1.0 - p for p in poles], 1)
-    else:  # _energy's sum, without its zero-padded copy
-        value = float(np.vdot(taps, taps).real)
-    return NormReport(value, "closed-form")
+    return NormReport(_norm_sq(_as_stages(obj)), "closed-form")
 
 
 def multirate_norm_sq(
@@ -318,32 +353,14 @@ def multirate_norm_sq(
     Decimating the output of ``inner`` by ``factor`` and then filtering by
     ``outer_lowrate`` has the same output variance under white input as the
     single-rate cascade of ``inner`` with ``outer_lowrate(z^factor)`` (the
-    noble identity), which is what this computes.  With ``N = factor``, each
-    inner pole moves to ``z^-N`` through ``1/(1 - p z^-1) = sum_{m<N} p^m
-    z^-m / (1 - p^N z^-N)``, which leaves a rational function whose
-    denominator is a polynomial in ``z^-N``.  The result is exact and
+    noble identity), which is what this computes.  The result is exact and
     ``closed-form`` for every factor and pole count, and matches a 50-digit
     reference to 1e-13 relative in the tests.
     """
     if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
     _check_type(outer_lowrate, ComplexFilter, "the low-rate filter")
-    taps, inner_poles = _materialize(_as_stages(inner))
-    poles: list[complex] = []
-    gaps: list[complex] = []
-    for p in inner_poles:
-        powers = p ** np.arange(factor)
-        taps = np.convolve(taps, powers)
-        poles.append(powers[-1] * p)
-        # 1 - p^N = (1 - p) * sum_{m<N} p^m, without cancellation near one.
-        gaps.append((1.0 - p) * complex(np.sum(powers)))
-    up = np.zeros((len(outer_lowrate.taps) - 1) * factor + 1, dtype=np.complex128)
-    up[::factor] = outer_lowrate.taps
-    taps = np.convolve(taps, up)
-    if outer_lowrate.pole is not None:
-        poles.append(outer_lowrate.pole)
-        gaps.append(1.0 - outer_lowrate.pole)
-    return NormReport(_energy(taps, poles, gaps, factor), "closed-form")
+    return NormReport(_norm_sq(_as_stages(inner), [outer_lowrate], factor), "closed-form")
 
 
 def tune_lp_bandwidth(

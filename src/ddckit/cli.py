@@ -57,6 +57,10 @@ from .simulate import (
 
 _TWO_PI = 2.0 * math.pi
 
+# Largest relative miss between the bandwidth compare-order names and the one
+# its full-rate low-pass pole realizes: 3e-9 misses by 2.6e-9, 1e-8 by 6.8e-10.
+_BANDWIDTH_TOLERANCE = 1e-9
+
 
 def _int_flag(text: str) -> int:
     """Integer flag value, allowing scientific notation like 1e6."""
@@ -178,13 +182,17 @@ def cmd_compare_order(args) -> int:
         raise UsageError("--sweep-min and --sweep-max must be positive finite numbers")
     factor = args.decimate
     sweep = np.geomspace(args.sweep_min, args.sweep_max, args.sweep_points)
-    try:  # the narrowest low-pass has the pole nearest 1
-        make_lp(sweep.min() * _TWO_PI, 1.0)
-    except UsageError:
-        raise UsageError(
-            f"--sweep-min and --sweep-max must keep the low-pass pole below 1, "
-            f"which a bandwidth of {sweep.min():.3g} rounds to 1"
-        ) from None
+    for rel in sweep:
+        # make_lp's full-rate pole realizes the bandwidth -log(pole), which
+        # rounds away from the named one as the pole nears 1 (to 1, at worst).
+        pole = math.exp(-rel * _TWO_PI)
+        miss = abs(math.log(pole) / (rel * _TWO_PI) + 1.0) if pole > 0.0 else math.inf
+        if not miss <= _BANDWIDTH_TOLERANCE:
+            raise UsageError(
+                f"--sweep-min and --sweep-max must name bandwidths the full-rate low-pass "
+                f"realizes to {_BANDWIDTH_TOLERANCE:g} relative; at {rel:.3g} it misses "
+                f"by {miss:.2g}"
+            )
 
     def rows():
         for rel in sweep:
@@ -221,20 +229,20 @@ def _parse_envelope(text: str):
             amplitude, rate = rest.split(":")
             return PhaseRampEnvelope(parse_complex(amplitude), float(rate))
     except (ValueError, UsageError):
-        raise UsageError(f"bad envelope spec {text!r}") from None
+        raise UsageError(f"bad --envelope spec {text!r}") from None
     raise UsageError(
-        f"unknown envelope {text!r}; expected const:B, step:B1:B2:K, or ramp:A:RATE"
+        f"unknown --envelope kind {text!r}; expected const:B, step:B1:B2:K, or ramp:A:RATE"
     )
 
 
 def _parse_harmonic(text: str) -> tuple[int, complex]:
     order, sep, amp = text.partition(":")
     if not sep:
-        raise UsageError(f"bad harmonic {text!r}; expected ORDER:AMPLITUDE")
+        raise UsageError(f"bad --harmonic {text!r}; expected ORDER:AMPLITUDE")
     try:
         return int(order), parse_complex(amp)
     except ValueError:
-        raise UsageError(f"bad harmonic {text!r}") from None
+        raise UsageError(f"bad --harmonic {text!r}") from None
 
 
 def _preset_from(args) -> Preset:
@@ -264,8 +272,9 @@ def _simulation_setup(args) -> tuple[CarrierConfig, DdcChain]:
         stages.append(make_dcr(carrier))
     if any(stage.pole is not None for stage in stages):
         raise UsageError(
-            "simulate's DDC stage must be FIR; use --lp for extra low-pass "
-            "filtering and --pre-mixer-hp for the passband DC reject"
+            "simulate's DDC stage (--filter, or the preset's filter) must be FIR; "
+            "use --lp for extra low-pass filtering and --pre-mixer-hp for the "
+            "passband DC reject"
         )
 
     lp_bandwidth = None

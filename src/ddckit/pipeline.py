@@ -49,26 +49,35 @@ class ChainOrder(Enum):
 
 
 class _Stage(NamedTuple):
-    """One filter of a chain: as it runs, and in its baseband form."""
+    """One filter of a chain: as it runs, in its baseband form, and its rate
+    (input samples per sample it runs on)."""
 
     filter: ComplexFilter
     baseband: ComplexFilter
+    rate: int
+
+
+class _Segment(NamedTuple):
+    """Stages after the mixer that run at one rate, in processing order,
+    then a decimator by ``factor`` that keeps the samples ``phase::factor``
+    of their output; the last stage computes only those (unless it has a
+    pole)."""
+
+    stages: tuple[_Stage, ...]
+    factor: int
+    phase: int
 
 
 class _Plan(NamedTuple):
-    """A chain's stages in processing order, in the groups one pass runs
-    them in: on the raw ADC stream, after the mixer, the last one before the
-    decimator, which computes only the samples the decimator keeps (unless
-    it has a pole), and after the decimator, at the decimated rate."""
+    """A chain's stages in the order a pass runs them: the passband stages,
+    on the raw ADC stream, then, after the mixer, the rate segments."""
 
     passband: tuple[_Stage, ...]
-    before: tuple[_Stage, ...]
-    last: _Stage
-    after: tuple[_Stage, ...]
+    segments: tuple[_Segment, ...]
 
-    def undecimated(self) -> tuple[_Stage, ...]:
-        """The stages that run before the decimator, in processing order."""
-        return (*self.passband, *self.before, self.last)
+    def stages(self) -> tuple[_Stage, ...]:
+        """Every stage, in processing order."""
+        return (*self.passband, *(stage for seg in self.segments for stage in seg.stages))
 
 
 @dataclass(frozen=True)
@@ -82,12 +91,14 @@ class DdcChain:
     period; :func:`make_chain` does that bookkeeping.
 
     Construction validates the fields and derives the chain's one stage
-    plan: its filters in processing order, each with its baseband form, in
-    the groups a pass runs them in around the mixer and the decimator.
-    :func:`run`, :func:`transient_length`, :func:`group_delay_seconds`,
-    :meth:`baseband_stages` and ``analytic_noise_gain`` all read that plan,
-    and the transient length is derived from it once too, so a block pays
-    only for its own arithmetic.
+    plan: its filters in processing order, each with its baseband form and
+    its rate, the passband ones and then the rate segments after the mixer.
+    Filtering then decimating is one segment, ``(ddc[, lowpass])`` and the
+    decimator; decimating then filtering adds a second, the low-pass at the
+    decimated rate.  :func:`run`, :func:`transient_length`,
+    :func:`group_delay_seconds`, :meth:`baseband_stages` and
+    ``analytic_noise_gain`` all read that plan, and the transient length is
+    derived from it once too, so a block pays only for its own arithmetic.
     """
 
     carrier: CarrierConfig
@@ -118,20 +129,16 @@ class DdcChain:
             raise UsageError("decimation phase out of range")
         if self.order is ChainOrder.DECIMATE_THEN_FILTER and self.lowpass is None:
             raise UsageError("decimate-then-filter needs a low-pass stage")
-        passband, before, after = [], [], []
+        passband = ()
         if self.pre_mixer is not None:
-            baseband = to_baseband(self.pre_mixer, self.carrier)
-            passband.append(_Stage(self.pre_mixer, baseband))
-        before.append(_Stage(self.ddc, self.ddc))
-        if self.lowpass is not None:
-            lowrate = self.order is ChainOrder.DECIMATE_THEN_FILTER
-            (after if lowrate else before).append(_Stage(self.lowpass, self.lowpass))
-        # The envelope filter always runs before the decimator, so ``before``
-        # is never empty.
-        *before, last = before
-        plan = _Plan(tuple(passband), tuple(before), last, tuple(after))
-        transient = sum(_span(stage.filter) for stage in plan.undecimated())
-        transient += self.decimation * sum(_span(stage.filter) for stage in plan.after)
+            passband = (_Stage(self.pre_mixer, to_baseband(self.pre_mixer, self.carrier), 1),)
+        stages, lowrate = (_Stage(self.ddc, self.ddc, 1),), ()
+        if self.order is ChainOrder.DECIMATE_THEN_FILTER:
+            lowrate = (_Segment((_Stage(self.lowpass, self.lowpass, self.decimation),), 1, 0),)
+        elif self.lowpass is not None:
+            stages += (_Stage(self.lowpass, self.lowpass, 1),)
+        plan = _Plan(passband, (_Segment(stages, self.decimation, self.decimation_phase), *lowrate))
+        transient = sum(stage.rate * _span(stage.filter) for stage in plan.stages())
         # Derived from the fields, so kept out of them (and out of __init__,
         # repr and equality); frozen, hence set through object.__setattr__.
         object.__setattr__(self, "_plan", plan)
@@ -143,13 +150,14 @@ class DdcChain:
 
     def baseband_stages(self) -> list[ComplexFilter]:
         """The filter stages that run before the decimator, mapped to the
-        baseband, in processing order.
+        baseband, in processing order: the passband stages and the first
+        rate segment.
 
         This is the chain's effective LTI filter for noise purposes: mixing
         commutes with the passband pre-filter once the latter is transformed.
         A low-pass that runs after the decimator is not included.
         """
-        return [stage.baseband for stage in self._plan.undecimated()]
+        return [stage.baseband for stage in (*self._plan.passband, *self._plan.segments[0].stages)]
 
 
 def make_chain(
@@ -262,8 +270,9 @@ def transient_length(chain: DdcChain) -> int:
     conditions, in input-rate samples.
 
     FIR stages contribute their memory (taps minus one); stages with a pole
-    contribute the horizon where the geometric settling falls below 1e-12,
-    scaled back to the input rate when the stage runs after decimation.
+    contribute the horizon where the geometric settling falls below 1e-12;
+    each times the stage's rate, so a stage after the decimator counts in
+    input-rate samples.
     """
     _check_type(chain, DdcChain, "the chain")
     return chain._transient
@@ -273,11 +282,9 @@ def group_delay_seconds(chain: DdcChain) -> float:
     """Sum of stage group delays at zero baseband frequency, in seconds."""
     _check_type(chain, DdcChain, "the chain")
     h = chain.carrier.sample_period
-    plan = chain._plan
     total = 0.0
-    for stages, period in ((plan.undecimated(), h), (plan.after, h * chain.decimation)):
-        for stage in stages:
-            total += analysis.phase_metrics(stage.baseband, 0.0, period).group_delay
+    for stage in chain._plan.stages():
+        total += analysis.phase_metrics(stage.baseband, 0.0, h * stage.rate).group_delay
     return total
 
 
@@ -285,8 +292,8 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     """Push a block of ADC samples through the chain from zero filter state.
 
     The input must at least cover the chain transient.  Passband stages run
-    on ``y``, then the mixer, the baseband stages before the decimator, the
-    decimator and the stages after it.  ``y`` was validated when it was
+    on ``y``, then the mixer, then each rate segment's stages and its
+    decimator.  ``y`` was validated when it was
     built, so the stages pass plain arrays along, through the same kernels
     as :func:`~ddckit.core.filter_stream` and :func:`mix_down`, and only the
     output is wrapped in a sequence, which takes the array :func:`_run`
@@ -315,33 +322,37 @@ class _Stepper:
     most :data:`_CHUNK` samples.
 
     A pass holds only what it carries from chunk to chunk: one
-    :class:`~ddckit.core.FilterState` per stage, in the groups of the
-    chain's plan (each state names its filter), the absolute index of the
-    next input sample and the decimator's phase relative to the next chunk.
-    Each chunk is mixed by one contiguous slice of the table of doubled
-    mixer phasors that every pass of the carrier ratio shares
+    :class:`~ddckit.core.FilterState` per stage (each state names its
+    filter), the passband ones and, for each rate segment of the chain's
+    plan, those of its stages but the last, the last one's and its
+    decimator's factor, all built here once; the absolute index of the next
+    input sample; and each segment's decimator phase relative to the next
+    chunk.  Each chunk is mixed by one contiguous slice of the table of
+    doubled mixer phasors that every pass of the carrier ratio shares
     (:func:`_chunk_mixer`), fetched when the pass is built; over a carrier
     block too long for a kept table, by the chunk's own doubled phasors,
-    evaluated at the residues it reaches alone.  The last stage before the
-    decimator computes only the samples the decimator keeps (unless it has a
-    pole).  The filter
-    kernels sum in the same order whatever the split, so the outputs of all
-    chunks, in turn, are bitwise those of running each whole stage in turn.
-    This is the seam for a streamable chain's state (ROADMAP item 4).
+    evaluated at the residues it reaches alone.  The last stage of each
+    segment computes only the samples its decimator keeps (unless it has a
+    pole).  The filter kernels sum in the same order whatever the split, so
+    the outputs of all chunks, in turn, are bitwise those of running each
+    whole stage in turn.  This is the seam for a streamable chain's state
+    (ROADMAP item 4).
     """
 
     def __init__(self, chain: DdcChain, start: int) -> None:
         """A pass whose first input sample sits at absolute index ``start``."""
         plan = chain._plan
         self._passband = [FilterState(stage.filter) for stage in plan.passband]
-        self._before = [FilterState(stage.filter) for stage in plan.before]
-        self._last = FilterState(plan.last.filter)
-        self._after = [FilterState(stage.filter) for stage in plan.after]
+        # Per segment: [the states of its stages but the last, the last one's,
+        # the decimation factor, the phase], which ``step`` only unpacks; the
+        # phase is the one entry it rewrites.
+        self._segments = [
+            [[FilterState(s.filter) for s in stages[:-1]], FilterState(stages[-1].filter), f, p]
+            for stages, f, p in plan.segments
+        ]
         self._carrier = carrier = chain.carrier
         kept = _CHUNK + carrier.samples - 1 <= _MIXER_KEPT
         self._table = _chunk_mixer(carrier.periods, carrier.samples) if kept else None
-        self._factor = chain.decimation
-        self._phase = chain.decimation_phase
         self.index = start
 
     def step(self, values: np.ndarray) -> np.ndarray:
@@ -355,13 +366,13 @@ class _Stepper:
         else:
             offset = self.index % self._carrier.samples
             v = v * self._table[offset : offset + len(v)]
-        for state in self._before:
-            v = _filter_block(state, v)
-        v = _filter_block(self._last, v, (self._phase, self._factor))
-        for state in self._after:
-            v = _filter_block(state, v)
+        for segment in self._segments:
+            states, last, factor, phase = segment
+            for state in states:
+                v = _filter_block(state, v)
+            segment[3] = (phase - len(v)) % factor
+            v = _filter_block(last, v, (phase, factor))
         self.index += len(values)
-        self._phase = (self._phase - len(values)) % self._factor
         return v
 
 

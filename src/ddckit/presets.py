@@ -140,8 +140,6 @@ def parse_filter_spec(spec: str, carrier: CarrierConfig | None) -> list[ComplexF
                 raise UsageError(f"unknown filter token {token!r}")
         except ValueError:
             raise UsageError(f"bad filter token {token!r}") from None
-    if not stages:
-        raise UsageError("empty filter spec")
     return stages
 
 
@@ -176,7 +174,7 @@ def load_preset_file(path: str) -> Preset:
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read preset file {path!r}: {exc}") from None
 
     known = {

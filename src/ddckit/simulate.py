@@ -363,14 +363,13 @@ def _noise_power(
 
 
 def analytic_noise_gain(chain: DdcChain) -> float:
-    """Effective squared filter norm of the chain for white ADC noise."""
+    """Effective squared filter norm of the chain for white ADC noise: the
+    exact energy of its baseband stages before the decimator, and of the
+    stages of its later rate segments at the decimated rate (the noble
+    identity)."""
     _check_type(chain, DdcChain, "the chain")
-    stages = chain.baseband_stages()
-    after = chain._plan.after
-    if after:
-        # Only the low-pass can run after the decimator.
-        return analysis.multirate_norm_sq(stages, after[0].baseband, chain.decimation).value
-    return analysis.h2_norm_sq(stages).value
+    lowrate = [stage.baseband for segment in chain._plan.segments[1:] for stage in segment.stages]
+    return analysis._norm_sq(chain.baseband_stages(), lowrate, chain.decimation)
 
 
 def _spur_candidates(spec: SignalSpec, chain: DdcChain) -> list[float]:
@@ -393,8 +392,6 @@ def _demodulate_spurs(
     """
     block = chain.carrier.samples
     usable = (len(residual) // block) * block
-    if usable == 0:
-        return math.nan
     # One carrier block per row: a row times a block-length table is the
     # window times the periodic phasor, element for element.
     rows = residual[:usable].reshape(-1, block)
@@ -410,12 +407,15 @@ def _demodulate_spurs(
 
 def _check_experiment_length(chain: DdcChain, count: int) -> int:
     """The chain transient, once ``count`` input samples are known to cover
-    ten transients and one decimated carrier block."""
+    ten transients, and the transient and one decimated carrier block after
+    it.  Those ``carrier.samples * decimation`` input samples hold one
+    carrier block of outputs, so the spurs always have a whole block to be
+    demodulated over."""
     settle = transient_length(chain)
-    if count < max(10 * settle, chain.carrier.samples * chain.decimation):
+    if count < max(10 * settle, settle + chain.carrier.samples * chain.decimation):
         raise UsageError(
             f"{count} samples is too short: need at least 10x the transient "
-            f"({settle}) and one decimated carrier block"
+            f"({settle}), and the transient and one decimated carrier block after it"
         )
     return settle
 
@@ -439,8 +439,6 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     expected = spec.envelope.at(k_out)
     j0 = _first_clean_output(chain)
     residual = out.seq.values[j0:] - expected[j0:]
-    if len(residual) == 0:
-        raise UsageError("no post-transient output samples to evaluate")
 
     gain = stderr = None
     if noise:
@@ -460,10 +458,7 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
 
     spur_amp = _demodulate_spurs(residual, _spur_candidates(spec, chain), chain)
     ref = float(np.sqrt(np.mean(np.abs(expected[j0:]) ** 2)))
-    if math.isnan(spur_amp):
-        spur_db = math.nan
-    else:
-        spur_db = 20.0 * math.log10(max(spur_amp, 1e-300) / (ref if ref > 0 else 1.0))
+    spur_db = 20.0 * math.log10(max(spur_amp, 1e-300) / (ref if ref > 0 else 1.0))
 
     return ExperimentReport(
         rms_envelope_error=rms_error,

@@ -273,6 +273,10 @@ def test_convolve_rejects_iir_and_mixed_domains():
         dk.convolve(dk.make_ma(4), dk.make_lp(0.1, 1.0))
     with pytest.raises(dk.UsageError):
         dk.convolve(dk.make_ma(4), dk.make_dc_reject_passband(0.9))
+    # Two FIRs, one of them passband: the domains alone refuse it.
+    passband_fir = dk.ComplexFilter([1.0, -1.0], domain=dk.Domain.PASSBAND)
+    with pytest.raises(dk.UsageError, match="different domains"):
+        dk.convolve(dk.make_ma(4), passband_fir)
 
 
 def test_unity_dc_normalization_across_constructors():

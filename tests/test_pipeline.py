@@ -1,5 +1,6 @@
 """Chain composition: mixer, envelope recovery, ordering, latency metadata."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -237,7 +238,7 @@ def test_chain_decimate_then_filter_requires_lowpass():
 @pytest.mark.parametrize(
     "field, value",
     [("decimation", True), ("decimation", 2.0),
-     ("decimation_phase", True), ("decimation_phase", 0.5)],
+     ("decimation_phase", True), ("decimation_phase", 0.5), ("decimation_phase", 2)],
 )
 def test_chain_rejects_non_integer_decimation(field, value):
     carrier = dk.CarrierConfig(7, 33)
@@ -429,9 +430,27 @@ def test_an_experiment_validates_nothing_it_computes(monkeypatch):
     assert len(validations) == 0
 
 
+# Low-passes with a complex pole.  Behind the pre-mixer's rotated pole, the
+# second one's noise gain after a decimator by 1 (its poles lifted to the
+# decimated rate, by 1) differs in the last bit from the same cascade at one
+# rate, so that case pins which of the two a chain computes.
+_COMPLEX_LOWPASS = dk.ComplexFilter([0.1], pole=0.9 * cmath.exp(0.2j))
+_LIFTED_LOWPASS = dk.ComplexFilter([0.64], pole=0.89 * cmath.exp(-1.6j))
+
+
 @pytest.mark.parametrize(
     "pre_mixer, lowpass, decimation, phase",
-    [*_chain_shapes(), (15 / 16, "same-before", 3, 1), (15 / 16, "same-after", 3, 1)],
+    [
+        *_chain_shapes(),
+        (15 / 16, "same-before", 3, 1),
+        (15 / 16, "same-after", 3, 1),
+        (None, "complex-before", 1, 0),
+        (15 / 16, "complex-before", 3, 1),
+        (None, "complex-after", 1, 0),
+        (15 / 16, "complex-after", 1, 0),
+        (15 / 16, "complex-after", 3, 2),
+        (15 / 16, "lifted-after", 1, 0),
+    ],
 )
 def test_chain_shape_matches_its_explicit_stages(
     pre_mixer, lowpass, decimation, phase, monkeypatch
@@ -439,10 +458,11 @@ def test_chain_shape_matches_its_explicit_stages(
     # Every chain number is spelled out from the public primitives, stage by
     # stage, and must match exactly: low-pass before or after the decimator
     # (including after it at decimation 1), with and without a pre-mixer,
-    # and one object as both the envelope filter and the low-pass.
+    # one object as both the envelope filter and the low-pass, and a
+    # complex-pole low-pass.
     carrier = dk.CarrierConfig(7, 33, 3.0)
     h = carrier.sample_period
-    after = lowpass in ("after", "same-after")
+    after = lowpass is not None and lowpass.endswith("after")
     chain = dk.make_chain(
         carrier,
         dk.make_2sr(carrier),
@@ -454,6 +474,10 @@ def test_chain_shape_matches_its_explicit_stages(
     )
     if lowpass in ("same-before", "same-after"):
         chain = dataclasses.replace(chain, lowpass=chain.ddc)
+    if lowpass in ("complex-before", "complex-after"):
+        chain = dataclasses.replace(chain, lowpass=_COMPLEX_LOWPASS)
+    if lowpass == "lifted-after":
+        chain = dataclasses.replace(chain, lowpass=_LIFTED_LOWPASS)
     y = dk.RealSeq(np.random.default_rng(11).standard_normal(3000), start=5)
     z = _explicit_stages(chain, y)
     # The input was validated when it was built; run adopts its output.
@@ -498,6 +522,9 @@ def test_chain_shape_matches_its_explicit_stages(
     else:
         gain = dk.h2_norm_sq(before).value
     assert dk.analytic_noise_gain(chain) == gain
+    if lowpass == "lifted-after":
+        # The decimator by 1 still lifts the poles, and here that shows.
+        assert gain != dk.h2_norm_sq(before + [chain.lowpass]).value
 
     def key(filt):
         return filt.taps.tobytes(), filt.pole, filt.domain

@@ -91,6 +91,7 @@ def test_preset_file_errors(tmp_path, content, match):
         "ratio = x",
         "ratio = 2/4",
         "ratio = 0/4",
+        "order = sideways",
     ],
 )
 def test_preset_file_refuses_a_bad_decimation_or_low_pass_naming_the_file(
@@ -104,6 +105,18 @@ def test_preset_file_refuses_a_bad_decimation_or_low_pass_naming_the_file(
     assert main(["preset", "show", "--file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{path}: bad {key}" in captured.err
+
+
+@pytest.mark.parametrize("content", [None, b"ratio = 1/4\xff\n"], ids=["missing", "not-utf8"])
+def test_an_unreadable_preset_file_is_refused_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(dk.UsageError, match="cannot read preset file"):
+        dk.load_preset_file(str(path))
+    assert main(["simulate", "--preset-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot read preset file {str(path)!r}" in captured.err
 
 
 # ----------------------------------------------------------- spec grammar
@@ -285,6 +298,12 @@ def test_cli_compare_order_sweep(capsys):
         ["--sweep-max", "inf"],
         ["--sweep-max", "-0.01"],
         ["--decimate", "0"],
+        # Poles that realize 1.77, 1.06 and 1.007 times the named bandwidth.
+        ["--sweep-min", "1e-17"],
+        ["--sweep-min", "1e-16"],
+        ["--sweep-min", "1e-15"],
+        ["--sweep-min", "3e-9"],  # misses it by 2.6e-9, beyond the 1e-9 tolerance
+        ["--filter", "ma:14+lp:0.01"],
     ],
 )
 def test_cli_compare_order_refuses_bad_sweeps_before_writing(capsys, flags):
@@ -292,6 +311,15 @@ def test_cli_compare_order_refuses_bad_sweeps_before_writing(capsys, flags):
     assert main(args + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and flags[0] in captured.err
+
+
+def test_cli_compare_order_accepts_a_bandwidth_its_low_pass_realizes(capsys):
+    # 1e-8 misses by 6.8e-10, inside the 1e-9 tolerance.
+    args = ["compare-order", "--filter", "ma:14", "--carrier", "3/14", "--decimate", "14",
+            "--sweep-min", "1e-8", "--sweep-points", "2"]
+    assert main(args) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert [float(row[0]) for row in rows] == pytest.approx([1e-8, 1e-1])
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
@@ -367,6 +395,20 @@ def test_cli_simulate_noise_study_rejects_short_runs_up_front(monkeypatch, capsy
     assert "100 samples is too short" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["1", "3"])
+def test_cli_simulate_needs_a_carrier_block_after_the_transient(capsys, seeds):
+    # ess: a transient of 13 samples, then one decimated carrier block of
+    # 14 * 14 = 196; 196 samples in all leave 13 clean outputs, not 14.
+    args = ["simulate", "--preset", "ess", "--noise", "0.1", "--seeds", seeds, "--samples"]
+    assert main(args + ["196"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "196 samples is too short" in captured.err
+    assert main(args + ["209"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert all(math.isfinite(float(line.split("=")[1].split("+-")[0])) for line in out.splitlines())
+
+
 def test_cli_simulate_rejects_a_negative_seed(capsys):
     assert (
         main(["simulate", "--preset", "ess", "--noise", "1", "--seed", "-1",
@@ -406,6 +448,52 @@ def test_cli_simulate_refuses_a_trace_of_a_noise_study(monkeypatch, tmp_path, ca
 def test_cli_simulate_needs_a_chain(capsys):
     assert main(["simulate", "--noise", "1"]) == 2
     assert "preset" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """``main``'s exit code, argparse's own refusals (``SystemExit``) too."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["simulate", "--preset", "ess", "--envelope", "step:1"], "--envelope"),
+        (["simulate", "--preset", "ess", "--envelope", "sine:1"], "--envelope"),
+        (["simulate", "--preset", "ess", "--envelope", "const:inf"], "--envelope"),
+        (["simulate", "--preset", "ess", "--harmonic", "3"], "--harmonic"),
+        (["simulate", "--preset", "ess", "--harmonic", "x:1"], "--harmonic"),
+        (["simulate", "--carrier", "7/33", "--filter", "2sr+lp:0.01"], "--filter"),
+        (["simulate", "--preset", "ess", "--lp"], "--lp"),
+        (["simulate", "--preset", "lcls2", "--lp", "abc"], "--lp"),
+        (["simulate", "--preset", "ess", "--samples", "1.5"], "--samples"),
+        (["freq-response", "--filter", "ma:4", "--fs", "1e6"], "--fs"),
+        (["compare-order", "--filter", "ma:14", "--decimate", "14"], "--carrier"),
+    ],
+)
+def test_cli_refuses_a_bad_value_naming_its_flag(monkeypatch, capsys, argv, named):
+    def nothing(*args, **kwargs):
+        raise AssertionError("ran on a refused value")
+
+    monkeypatch.setattr("ddckit.cli.run_experiment", nothing)
+    monkeypatch.setattr("ddckit.cli.noise_gain_study", nothing)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+def test_cli_simulate_ramp_envelope_is_the_library_experiment(capsys):
+    assert main(["simulate", "--preset", "lcls2", "--envelope", "ramp:1+0.5i:0.001",
+                 "--samples", "3000"]) == 0
+    out = capsys.readouterr().out
+    carrier = dk.get_preset("lcls2").carrier
+    spec = dk.SignalSpec(envelope=dk.PhaseRampEnvelope(1 + 0.5j, 0.001))
+    report = dk.run_experiment(spec, dk.make_chain(carrier, dk.make_2sr(carrier)), 3000)
+    assert out.splitlines()[0] == f"rms_envelope_error = {report.rms_envelope_error:.6g}"
+    assert report.rms_envelope_error > 1e-6  # the ramp moves within the filter's delay
 
 
 def test_cli_preset_show(capsys):
