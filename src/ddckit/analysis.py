@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -223,14 +223,6 @@ def _dc_response(stages: list[ComplexFilter]) -> np.ndarray:
     return resp
 
 
-def _materialize(stages: list[ComplexFilter]) -> tuple[np.ndarray, list[complex]]:
-    """Collapse a cascade to one FIR numerator and the list of poles."""
-    taps = stages[0].taps
-    for stage in stages[1:]:
-        taps = np.convolve(taps, stage.taps)
-    return taps, [stage.pole for stage in stages if stage.pole is not None]
-
-
 def _energy(
     taps: np.ndarray, poles: Sequence[complex], gaps: Sequence[complex], factor: int
 ) -> float:
@@ -295,44 +287,57 @@ def _energy_terms(
     return head, v, gram
 
 
-def _norm_sq(
-    stages: Sequence[ComplexFilter], lowrate: Sequence[ComplexFilter] = (), factor: int = 1
-) -> float:
-    """Exact impulse energy of the cascade ``stages``, then, when
-    ``lowrate`` is given, a decimator by ``factor`` and the cascade
-    ``lowrate`` at the decimated rate: the one body of :func:`h2_norm_sq`,
-    :func:`multirate_norm_sq` and the chains' noise gain.
+def _collapse(
+    pairs: Iterable[tuple[ComplexFilter, int]],
+) -> tuple[np.ndarray, list[complex], list[complex], int]:
+    """Collapse a cascade of ``(filter, rate)`` pairs, in processing order,
+    to one numerator, its poles moved to the last pair's rate, their gaps
+    ``1 - p``, and that rate: the parts whose :func:`_energy` is the
+    cascade's impulse energy.
 
-    Decimating and then filtering has the same output variance under white
-    input as the single-rate cascade with each low-rate filter in
-    ``z^factor`` (the noble identity), which is what this computes.  With
-    ``N = factor``, each full-rate pole moves to ``z^-N`` through ``1/(1 - p
-    z^-1) = sum_{m<N} p^m z^-m / (1 - p^N z^-N)``, which leaves a rational
-    function whose denominator is a polynomial in ``z^-N``.  The lift runs
-    whenever there is a low-rate cascade, even at ``N = 1``: the lifted
-    poles are numpy scalars, and the Gramian's complex arithmetic on them
-    can round differently from that on Python's.
+    A filter at rate ``N`` (input samples per sample it runs on) has the
+    same output variance under white input as the filter in ``z^N`` at rate
+    one (the noble identity), so its taps are spread by ``N``.  Only rates 1
+    and one other occur, so a pole below the last rate runs at rate one; it
+    moves to ``z^-N`` through ``1/(1 - p z^-1) = sum_{m<N} p^m z^-m / (1 -
+    p^N z^-N)`` when the first stage at rate ``N`` arrives.  A pole that
+    already runs at the last rate is not lifted: a lift by 1 is the
+    identity.  Each rate's taps are convolved before its poles are lifted,
+    and both before the next rate's taps: that order fixes the bits.
     """
-    taps, poles = _materialize(stages)
-    if not lowrate:
-        if not poles:  # _energy's sum, without its zero-padded copy
-            return float(np.vdot(taps, taps).real)
-        return _energy(taps, poles, [1.0 - p for p in poles], 1)
-    lifted, gaps = [], []
-    for p in poles:
-        powers = p ** np.arange(factor)
-        taps = np.convolve(taps, powers)
-        lifted.append(powers[-1] * p)
-        # 1 - p^N = (1 - p) * sum_{m<N} p^m, without cancellation near one.
-        gaps.append((1.0 - p) * complex(np.sum(powers)))
-    for stage in lowrate:
-        up = np.zeros((len(stage.taps) - 1) * factor + 1, dtype=np.complex128)
-        up[::factor] = stage.taps
-        taps = np.convolve(taps, up)
-        if stage.pole is not None:
-            lifted.append(stage.pole)
-            gaps.append(1.0 - stage.pole)
-    return _energy(taps, lifted, gaps, factor)
+    taps, poles, gaps, current = None, [], [], 1
+    for filt, rate in pairs:
+        stage_taps = filt.taps
+        if rate > 1:
+            if rate != current:  # the first stage at rate N: lift the poles so far
+                lifted, gaps = [], []
+                for p in poles:
+                    powers = p ** np.arange(rate)
+                    taps = np.convolve(taps, powers)
+                    lifted.append(powers[-1] * p)
+                    # 1 - p^N = (1 - p) * sum_{m<N} p^m, without cancellation near one.
+                    gaps.append((1.0 - p) * complex(np.sum(powers)))
+                poles, current = lifted, rate
+            stage_taps = np.zeros((len(filt.taps) - 1) * rate + 1, dtype=np.complex128)
+            stage_taps[::rate] = filt.taps
+        taps = stage_taps if taps is None else np.convolve(taps, stage_taps)
+        if filt.pole is not None:
+            poles.append(filt.pole)
+            gaps.append(1.0 - filt.pole)
+    return taps, poles, gaps, current
+
+
+def _norm_sq(pairs: Iterable[tuple[ComplexFilter, int]]) -> float:
+    """Exact impulse energy of a cascade of ``(filter, rate)`` pairs in
+    processing order, from its :func:`_collapse`: the one body of
+    :func:`h2_norm_sq`, :func:`multirate_norm_sq` and the chains' noise
+    gain."""
+    taps, poles, gaps, factor = _collapse(pairs)
+    if not poles and factor == 1:
+        # _energy's sum, without its copy; above rate 1 that copy is padded
+        # to whole rows, which sums in another order.
+        return float(np.vdot(taps, taps).real)
+    return _energy(taps, poles, gaps, factor)
 
 
 def h2_norm_sq(obj: FilterOrCascade) -> NormReport:
@@ -342,7 +347,7 @@ def h2_norm_sq(obj: FilterOrCascade) -> NormReport:
     always ``closed-form`` and matches a 50-digit reference to 1e-13
     relative in the tests.
     """
-    return NormReport(_norm_sq(_as_stages(obj)), "closed-form")
+    return NormReport(_norm_sq([(stage, 1) for stage in _as_stages(obj)]), "closed-form")
 
 
 def multirate_norm_sq(
@@ -355,12 +360,15 @@ def multirate_norm_sq(
     single-rate cascade of ``inner`` with ``outer_lowrate(z^factor)`` (the
     noble identity), which is what this computes.  The result is exact and
     ``closed-form`` for every factor and pole count, and matches a 50-digit
-    reference to 1e-13 relative in the tests.
+    reference to 1e-13 relative in the tests.  At ``factor`` 1 it is
+    ``h2_norm_sq`` of the concatenated cascade, bit for bit.
     """
     if not _is_int(factor) or factor < 1:
         raise UsageError("decimation factor must be a positive integer")
     _check_type(outer_lowrate, ComplexFilter, "the low-rate filter")
-    return NormReport(_norm_sq(_as_stages(inner), [outer_lowrate], factor), "closed-form")
+    pairs = [(stage, 1) for stage in _as_stages(inner)]
+    pairs.append((outer_lowrate, factor))
+    return NormReport(_norm_sq(pairs), "closed-form")
 
 
 def tune_lp_bandwidth(
@@ -399,8 +407,7 @@ def tune_lp_bandwidth(
         raise UsageError("sample period must be a positive finite real number")
     if math.isinf(_X_HI / sample_period):
         raise UsageError("sample period too small: the low-pass bandwidth overflows")
-    taps, poles = _materialize(_as_stages(ddc_filter))
-    gaps = [1.0 - p for p in poles]
+    taps, poles, gaps, _ = _collapse([(stage, 1) for stage in _as_stages(ddc_filter)])
     try:
         target = 10.0 ** (target_db / 10.0)
     except OverflowError:  # beyond the float range, so beyond any gain

@@ -131,12 +131,19 @@ def make_lp(bandwidth: float, sample_period: float) -> ComplexFilter:
     """First-order low-pass ``(1-a)/(1 - a z^-1)`` with ``a = exp(-bandwidth*sample_period)``.
 
     ``bandwidth`` is in rad/s.  Unity DC gain; impulse energy (1-a)/(1+a).
+    A bandwidth*period too small for ``a`` to fall below 1.0 (about
+    5.6e-17) is refused.
     """
     if not _is_positive(bandwidth):
         raise UsageError("low-pass bandwidth must be a positive finite real number")
     if not _is_positive(sample_period):
         raise UsageError("sample period must be a positive finite real number")
-    a = math.exp(-bandwidth * sample_period)
+    x = bandwidth * sample_period
+    a = math.exp(-x)
+    if a == 1.0:
+        raise UsageError(
+            f"low-pass bandwidth*period {x:.3g} is too small: its pole exp(-{x:.3g}) rounds to 1"
+        )
     return ComplexFilter._owning(np.array([1.0 - a], dtype=np.complex128), pole=a)
 
 

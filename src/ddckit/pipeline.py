@@ -153,9 +153,10 @@ class DdcChain:
         baseband, in processing order: the passband stages and the first
         rate segment.
 
-        This is the chain's effective LTI filter for noise purposes: mixing
-        commutes with the passband pre-filter once the latter is transformed.
-        A low-pass that runs after the decimator is not included.
+        Mixing commutes with the passband pre-filter once the latter is
+        transformed, so these filter the chain's input noise as one LTI
+        cascade.  A low-pass that runs after the decimator is not included;
+        the noise gain reads every stage of the plan, each at its rate.
         """
         return [stage.baseband for stage in (*self._plan.passband, *self._plan.segments[0].stages)]
 

@@ -364,12 +364,12 @@ def _noise_power(
 
 def analytic_noise_gain(chain: DdcChain) -> float:
     """Effective squared filter norm of the chain for white ADC noise: the
-    exact energy of its baseband stages before the decimator, and of the
-    stages of its later rate segments at the decimated rate (the noble
-    identity)."""
+    exact energy of its stage plan's baseband stages, each at its rate (a
+    stage after the decimator in ``z^decimation``, by the noble identity).
+    A decimator by 1 leaves the single-rate norm of the same cascade, bit
+    for bit."""
     _check_type(chain, DdcChain, "the chain")
-    lowrate = [stage.baseband for segment in chain._plan.segments[1:] for stage in segment.stages]
-    return analysis._norm_sq(chain.baseband_stages(), lowrate, chain.decimation)
+    return analysis._norm_sq([(stage.baseband, stage.rate) for stage in chain._plan.stages()])
 
 
 def _spur_candidates(spec: SignalSpec, chain: DdcChain) -> list[float]:

@@ -371,6 +371,6 @@ def test_overflow_in_a_transform_or_a_convolution_is_a_domain_error():
 
 
 def test_a_low_pass_whose_pole_rounds_to_one_is_a_usage_error():
-    # exp(-1e-17) rounds to 1.0: the pole is on the unit circle.
-    with pytest.raises(dk.UsageError, match=r"pole magnitude 1 >= 1 \(unstable\)"):
+    # exp(-1e-17) rounds to 1.0: the pole would sit on the unit circle.
+    with pytest.raises(dk.UsageError, match=r"bandwidth\*period 1e-17 .* rounds to 1"):
         dk.make_lp(1e-17, 1.0)

@@ -431,9 +431,9 @@ def test_an_experiment_validates_nothing_it_computes(monkeypatch):
 
 
 # Low-passes with a complex pole.  Behind the pre-mixer's rotated pole, the
-# second one's noise gain after a decimator by 1 (its poles lifted to the
-# decimated rate, by 1) differs in the last bit from the same cascade at one
-# rate, so that case pins which of the two a chain computes.
+# second one's noise gain after a decimator by 1 differs in the last bit
+# from the same cascade at one rate if that decimator lifts the poles before
+# it (by 1, into numpy scalars), so that case pins that it lifts none.
 _COMPLEX_LOWPASS = dk.ComplexFilter([0.1], pole=0.9 * cmath.exp(0.2j))
 _LIFTED_LOWPASS = dk.ComplexFilter([0.64], pole=0.89 * cmath.exp(-1.6j))
 
@@ -523,8 +523,8 @@ def test_chain_shape_matches_its_explicit_stages(
         gain = dk.h2_norm_sq(before).value
     assert dk.analytic_noise_gain(chain) == gain
     if lowpass == "lifted-after":
-        # The decimator by 1 still lifts the poles, and here that shows.
-        assert gain != dk.h2_norm_sq(before + [chain.lowpass]).value
+        # A decimator by 1 lifts no pole: this is the single-rate cascade.
+        assert gain == dk.h2_norm_sq(before + [chain.lowpass]).value
 
     def key(filt):
         return filt.taps.tobytes(), filt.pole, filt.domain

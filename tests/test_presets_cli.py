@@ -472,6 +472,8 @@ def _exit_code(argv):
         (["simulate", "--preset", "ess", "--samples", "1.5"], "--samples"),
         (["freq-response", "--filter", "ma:4", "--fs", "1e6"], "--fs"),
         (["compare-order", "--filter", "ma:14", "--decimate", "14"], "--carrier"),
+        # lp:X is bandwidth over sample rate, so bandwidth*period is 2*pi*X.
+        (["norm", "--filter", "ma:3+lp:1e-18"], "bandwidth*period 6.28e-18"),
     ],
 )
 def test_cli_refuses_a_bad_value_naming_its_flag(monkeypatch, capsys, argv, named):
