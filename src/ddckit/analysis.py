@@ -4,11 +4,12 @@ latency metrics for complex-coefficient filters and cascades.
 The squared H2 norm used throughout is the impulse-response energy
 ``sum_k |g_k|^2``; for a white unit-variance input it equals the output
 variance, which is what ties these numbers to the simulator's Monte-Carlo
-noise gains.  The norms are exact for any number of poles and any
-decimation factor: one routine evaluates the numerator's support directly
-and sums the rest in closed form through the observability Gramian of the
-poles.  The same parts give the gain under an added first-order low-pass in
-closed form, from which its bandwidth is tuned.
+noise gains.  The norms are closed forms, with no truncated sum, for any
+number of poles and any decimation factor: one routine evaluates the
+numerator's support directly and sums the rest through the observability
+Gramian of the poles.  Their precision is measured, not bounded (see
+:class:`NormReport`).  The same parts give the gain under an added
+first-order low-pass in closed form, from which its bandwidth is tuned.
 """
 
 from __future__ import annotations
@@ -133,10 +134,14 @@ class NormReport:
     """Squared-H2-norm result together with how it was obtained.
 
     ``method`` is ``closed-form`` for :func:`h2_norm_sq` and
-    :func:`multirate_norm_sq`, which are exact for any number of poles (the
-    tests hold them to 1e-13 relative against 50-digit mpmath), or
-    ``monte-carlo`` for a simulated estimate, which carries its standard
-    error in ``stderr``.
+    :func:`multirate_norm_sq`, which sum no truncated series for any number
+    of poles, or ``monte-carlo`` for a simulated estimate, which carries its
+    standard error in ``stderr``.  The tests hold the closed forms to 1e-13
+    relative against 50-digit mpmath on the cascades they draw; that is a
+    measurement, not a bound.  A zero that nearly cancels a pole near 1
+    behind a second pole loses digits: ``[1, -1]``, a pole at 0.5 and
+    ``make_lp(x, 1.0)`` read 1.7e-13 relative at ``x = 1e-4`` and 4.9e-10 at
+    ``1e-8``.
     """
 
     value: float
@@ -343,9 +348,11 @@ def _norm_sq(pairs: Iterable[tuple[ComplexFilter, int]]) -> float:
 def h2_norm_sq(obj: FilterOrCascade) -> NormReport:
     """Squared H2 norm (impulse energy) of a filter or cascade.
 
-    Exact for any number of poles, repeated ones included: the result is
-    always ``closed-form`` and matches a 50-digit reference to 1e-13
-    relative in the tests.
+    A closed form for any number of poles, repeated ones included: the
+    result is always ``closed-form``, and matches a 50-digit reference to
+    1e-13 relative on the cascades the tests draw.  A zero that nearly
+    cancels a pole near 1 behind another pole misses that (see
+    :class:`NormReport`).
     """
     return NormReport(_norm_sq([(stage, 1) for stage in _as_stages(obj)]), "closed-form")
 
@@ -358,9 +365,10 @@ def multirate_norm_sq(
     Decimating the output of ``inner`` by ``factor`` and then filtering by
     ``outer_lowrate`` has the same output variance under white input as the
     single-rate cascade of ``inner`` with ``outer_lowrate(z^factor)`` (the
-    noble identity), which is what this computes.  The result is exact and
+    noble identity), which is what this computes.  The result is
     ``closed-form`` for every factor and pole count, and matches a 50-digit
-    reference to 1e-13 relative in the tests.  At ``factor`` 1 it is
+    reference to 1e-13 relative on the cascades the tests draw, with the
+    same exception as :func:`h2_norm_sq`.  At ``factor`` 1 it is
     ``h2_norm_sq`` of the concatenated cascade, bit for bit.
     """
     if not _is_int(factor) or factor < 1:

@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .core import CarrierConfig, ComplexFilter, DdcError, UsageError, _is_positive
 from .filters import convolve, make_dc_reject_passband, make_dcr, make_lp
-from .pipeline import ChainOrder, DdcChain, make_chain, run
+from .pipeline import ChainOrder, DdcChain, make_chain
 from .presets import (
     BUILTIN_PRESETS,
     Preset,
@@ -49,10 +49,9 @@ from .simulate import (
     SignalSpec,
     StepEnvelope,
     _check_experiment_length,
+    _experiment,
     analytic_noise_gain,
     noise_gain_study,
-    run_experiment,
-    synthesize,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -169,6 +168,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare_order(args) -> int:
+    """At each sweep point, the noise gain of the chain that filters then
+    decimates and of the one that decimates then filters, as the chains
+    themselves state it, over that of the full-rate low-pass alone.  Every
+    refusal runs before the table is written."""
     _refuse_rate(args)
     stages, carrier, _ = _stages_from(args)
     if carrier is None:
@@ -180,7 +183,7 @@ def cmd_compare_order(args) -> int:
         raise UsageError("--decimate and --sweep-points must be positive integers")
     if not (_is_positive(args.sweep_min) and _is_positive(args.sweep_max)):
         raise UsageError("--sweep-min and --sweep-max must be positive finite numbers")
-    factor = args.decimate
+    ddc = functools.reduce(convolve, stages)
     sweep = np.geomspace(args.sweep_min, args.sweep_max, args.sweep_points)
     for rel in sweep:
         # make_lp's full-rate pole realizes the bandwidth -log(pole), which
@@ -196,15 +199,14 @@ def cmd_compare_order(args) -> int:
 
     def rows():
         for rel in sweep:
-            full = make_lp(rel * _TWO_PI, 1.0)
-            low = make_lp(rel * _TWO_PI * factor, 1.0)
-            ref = h2_norm_sq([full]).value
-            after = h2_norm_sq(stages + [full]).value / ref
-            before = multirate_norm_sq(stages, low, factor).value / ref
+            bandwidth, low = rel * _TWO_PI, ChainOrder.DECIMATE_THEN_FILTER
+            after = make_chain(carrier, ddc, bandwidth, decimation=args.decimate)
+            before = make_chain(carrier, ddc, bandwidth, decimation=args.decimate, order=low)
+            ref = h2_norm_sq([after.lowpass]).value
             yield (
                 float(rel),
-                10.0 * math.log10(after),
-                10.0 * math.log10(before),
+                10.0 * math.log10(analytic_noise_gain(after) / ref),
+                10.0 * math.log10(analytic_noise_gain(before) / ref),
             )
 
     _write_csv(
@@ -262,7 +264,7 @@ def _preset_from(args) -> Preset:
     return get_preset(args.preset)
 
 
-def _simulation_setup(args) -> tuple[CarrierConfig, DdcChain]:
+def _simulation_setup(args) -> DdcChain:
     preset = _preset_from(args)
     carrier = preset.carrier
     stages = parse_filter_spec(
@@ -288,7 +290,7 @@ def _simulation_setup(args) -> tuple[CarrierConfig, DdcChain]:
         except ValueError:
             raise UsageError(f"bad --lp value {args.lp!r}") from None
 
-    return carrier, make_chain(
+    return make_chain(
         carrier,
         functools.reduce(convolve, stages),
         lp_bandwidth=lp_bandwidth,
@@ -303,7 +305,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("--seeds must be a positive integer")
     if args.seeds > 1 and args.out is not None:
         raise UsageError("--out writes the trace of one experiment; it needs --seeds 1")
-    carrier, chain = _simulation_setup(args)
+    if args.out == "-":
+        raise UsageError("simulate prints its report on stdout; --out needs a file for the trace")
+    chain = _simulation_setup(args)
     spec = SignalSpec(
         envelope=_parse_envelope(args.envelope),
         noise_sigma=args.noise,
@@ -324,7 +328,7 @@ def cmd_simulate(args) -> int:
         print(f"difference_in_stderr = {sigma_off:.2f}")
         return 0
 
-    report = run_experiment(spec, chain, args.samples)
+    report, out = _experiment(spec, chain, args.samples)
     print(f"rms_envelope_error = {report.rms_envelope_error:.6g}")
     print(f"spur_level_db = {report.spur_level_db:.4g}")
     if report.noise_gain_empirical is not None:
@@ -335,7 +339,6 @@ def cmd_simulate(args) -> int:
     print(f"output_samples = {report.output_samples}")
 
     if args.out is not None:
-        out = run(chain, synthesize(spec, carrier, args.samples))
         rows = (
             (j, float(v.real), float(v.imag), float(abs(v)))
             for j, v in enumerate(out.seq.values)
@@ -465,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_flag, default=100_000)
     p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--seeds", type=_int_flag, default=1, help="Monte-Carlo seeds for a noise study")
-    p.add_argument("--out", help="write the output trace as CSV")
+    p.add_argument("--out", help="write the experiment's output trace as CSV to a file")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("preset", help="list or show machine presets")

@@ -97,8 +97,13 @@ class DdcChain:
     decimator; decimating then filtering adds a second, the low-pass at the
     decimated rate.  :func:`run`, :func:`transient_length`,
     :func:`group_delay_seconds`, :meth:`baseband_stages` and
-    ``analytic_noise_gain`` all read that plan, and the transient length is
-    derived from it once too, so a block pays only for its own arithmetic.
+    ``analytic_noise_gain`` all read that plan.  Three things are derived
+    from it once too, so a block pays only for its own arithmetic: the
+    transient length, the input index each output sits at (the segments'
+    phases carried through their factors, and the total factor), and the
+    first output past the transient.  Every reader of output positions, the
+    simulator's included, takes them from there; only this module reads the
+    decimation fields.
     """
 
     carrier: CarrierConfig
@@ -139,14 +144,23 @@ class DdcChain:
             stages += (_Stage(self.lowpass, self.lowpass, 1),)
         plan = _Plan(passband, (_Segment(stages, self.decimation, self.decimation_phase), *lowrate))
         transient = sum(stage.rate * _span(stage.filter) for stage in plan.stages())
+        # Each segment keeps the samples phase::factor of the one before, so
+        # output j sits at input index phase + j*factor over the whole plan.
+        phase, factor = 0, 1
+        for segment in plan.segments:
+            phase, factor = phase + segment.phase * factor, factor * segment.factor
         # Derived from the fields, so kept out of them (and out of __init__,
         # repr and equality); frozen, hence set through object.__setattr__.
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_transient", transient)
+        # The input samples that outputs sit at, as a slice of the input, and
+        # the first output whose input index lies beyond the transient.
+        object.__setattr__(self, "_outputs", slice(phase, None, factor))
+        object.__setattr__(self, "_settled", max(0, -((phase - transient) // factor)))
 
     @property
     def output_period(self) -> float:
-        return self.carrier.sample_period * self.decimation
+        return self.carrier.sample_period * self._outputs.step
 
     def baseband_stages(self) -> list[ComplexFilter]:
         """The filter stages that run before the decimator, mapped to the
@@ -231,13 +245,15 @@ class DdcOutput:
     """Chain output and the chain that produced it.
 
     The output's timing belongs to the chain, so it is read from ``chain``
-    when asked for, not computed on every block.  ``group_delay`` is the sum
-    of per-stage group delays at zero baseband frequency, in seconds; it
-    raises :class:`~ddckit.core.DomainError` when a stage has a response zero
-    there, although the samples are well defined.  ``decimation_delay`` is
-    the extra effective delay of holding the output over a controller period
-    (half the output period) and is reported separately because it is a
-    property of the consumer's sampling, not of the filters.
+    when asked for, not computed on every block: the sample period is the
+    input's times the plan's total decimation factor.  ``group_delay`` is
+    the sum of per-stage group delays at zero baseband frequency, in
+    seconds; it raises :class:`~ddckit.core.DomainError` when a stage has a
+    response zero there, although the samples are well defined.
+    ``decimation_delay`` is the extra effective delay of holding the output
+    over a controller period (half the output period) and is reported
+    separately because it is a property of the consumer's sampling, not of
+    the filters.
     """
 
     seq: ComplexSeq
@@ -300,7 +316,9 @@ def run(chain: DdcChain, y: RealSeq) -> DdcOutput:
     output is wrapped in a sequence, which takes the array :func:`_run`
     built as its own, without a copy.  An output that leaves the float range
     raises :class:`~ddckit.core.DomainError`.  Output sample j sits at
-    absolute input index ``y.start + decimation_phase + j*decimation``; like
+    absolute input index ``y.start + phase + j*factor``, with ``factor`` the
+    product of the plan's decimation factors and ``phase`` their phases
+    carried through them, which the chain derives once; like
     :func:`~ddckit.core.decimate`, the output is re-indexed, so
     ``out.seq.start`` is 0 whatever ``y.start`` is.  Output blocks that
     carry absolute indices belong to streamable chains (ROADMAP item 4).

@@ -44,7 +44,7 @@ from .core import (
     _validated_samples,
 )
 from .filters import make_iq
-from .pipeline import _CHUNK, DdcChain, _Stepper, run, transient_length
+from .pipeline import _CHUNK, DdcChain, DdcOutput, _Stepper, run, transient_length
 
 
 @dataclass(frozen=True)
@@ -322,16 +322,10 @@ class ExperimentReport:
     output_samples: int
 
 
-def _first_clean_output(chain: DdcChain) -> int:
-    settle = transient_length(chain)
-    return max(0, math.ceil((settle - chain.decimation_phase) / chain.decimation))
-
-
-def _noise_power(
-    chain: DdcChain, noise: Iterable[np.ndarray], count: int, j0: int
-) -> np.ndarray:
-    """Output power of the chain run on ADC noise alone, from output sample
-    ``j0`` on: its mean over ``4*sigma^2`` estimates the noise gain.
+def _noise_power(chain: DdcChain, noise: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """Output power of the chain run on ADC noise alone, from its first
+    output past the transient on: its mean over ``4*sigma^2`` estimates the
+    noise gain.
 
     ``noise`` holds the ``count`` samples in the chunks :func:`_adc_noise`
     draws.  Each chunk goes through one :class:`~ddckit.pipeline._Stepper`
@@ -349,13 +343,13 @@ def _noise_power(
     # runs read 43.0-43.4 MB and 4 read 47.0-47.1 MB; built after the array,
     # 5 of 16 runs read 46.1-46.4 MB.
     step = _Stepper(chain, 0).step
-    outputs = len(range(chain.decimation_phase, count, chain.decimation))
-    power = np.empty(outputs - j0)
-    end = -j0  # where the next chunk's last output goes in ``power``, plus 1
+    power = np.empty(len(range(count)[chain._outputs]) - chain._settled)
+    end = -chain._settled  # where the next chunk's last output goes in ``power``, plus 1
     for chunk in noise:
         z = step(chunk)
         end += len(z)
-        # Outputs before j0 would go below index 0: they are dropped.
+        # Outputs before the first settled one would go below index 0: they
+        # are dropped.
         dest = power[max(end - len(z), 0) : max(end, 0)]
         np.abs(z[len(z) - len(dest) :], out=dest)
         np.square(dest, out=dest)
@@ -399,7 +393,7 @@ def _demodulate_spurs(
     for theta in thetas:
         # At the output rate the spur period still divides one carrier block,
         # so the demodulating phasor is one block of a carrier-periodic tone.
-        table = _tone(-1j * (theta * chain.decimation), block, 0, block)
+        table = _tone(-1j * (theta * chain._outputs.step), block, 0, block)
         amp = abs(np.mean((rows * table).ravel()))
         strongest = max(strongest, amp)
     return strongest
@@ -408,11 +402,11 @@ def _demodulate_spurs(
 def _check_experiment_length(chain: DdcChain, count: int) -> int:
     """The chain transient, once ``count`` input samples are known to cover
     ten transients, and the transient and one decimated carrier block after
-    it.  Those ``carrier.samples * decimation`` input samples hold one
-    carrier block of outputs, so the spurs always have a whole block to be
-    demodulated over."""
+    it.  Those ``carrier.samples`` times the chain's total decimation factor
+    (its outputs' input-index step) hold one carrier block of outputs, so
+    the spurs always have a whole block to be demodulated over."""
     settle = transient_length(chain)
-    if count < max(10 * settle, settle + chain.carrier.samples * chain.decimation):
+    if count < max(10 * settle, settle + chain.carrier.samples * chain._outputs.step):
         raise UsageError(
             f"{count} samples is too short: need at least 10x the transient "
             f"({settle}), and the transient and one decimated carrier block after it"
@@ -420,14 +414,11 @@ def _check_experiment_length(chain: DdcChain, count: int) -> int:
     return settle
 
 
-def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentReport:
-    """Synthesize a stream, run the chain, and compare against the known
-    envelope trajectory and the analytic noise gain.
-
-    The envelope error and the spurs are measured on the chain's output for
-    the whole stream; the empirical noise gain on a second pass, over the
-    stream's ADC noise alone, through the noise study's output-power helper.
-    The noise is drawn once, for both runs."""
+def _experiment(
+    spec: SignalSpec, chain: DdcChain, count: int
+) -> tuple[ExperimentReport, DdcOutput]:
+    """:func:`run_experiment`'s report, and the chain's output for the whole
+    stream that it measured."""
     _check_type(spec, SignalSpec, "the signal spec")
     _check_type(chain, DdcChain, "the chain")
     _check_count(count)
@@ -435,15 +426,14 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
     y, noise = _adc_stream(spec, chain.carrier, count)
     out = run(chain, y)
     del y
-    k_out = chain.decimation_phase + np.arange(len(out.seq)) * chain.decimation
-    expected = spec.envelope.at(k_out)
-    j0 = _first_clean_output(chain)
+    expected = spec.envelope.at(np.arange(*chain._outputs.indices(count)))
+    j0 = chain._settled
     residual = out.seq.values[j0:] - expected[j0:]
 
     gain = stderr = None
     if noise:
         with np.errstate(over="ignore", invalid="ignore"):
-            power = _noise_power(chain, noise, count, j0)
+            power = _noise_power(chain, noise, count)
             scale = 4.0 * spec.noise_sigma**2
             gain = float(np.mean(power)) / scale
             blocks = min(16, len(power))
@@ -468,7 +458,19 @@ def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentR
         noise_gain_analytic=analytic_noise_gain(chain),
         settling_samples=settle,
         output_samples=len(out.seq),
-    )
+    ), out
+
+
+def run_experiment(spec: SignalSpec, chain: DdcChain, count: int) -> ExperimentReport:
+    """Synthesize a stream, run the chain, and compare against the known
+    envelope trajectory and the analytic noise gain.
+
+    The envelope error and the spurs are measured on the chain's output for
+    the whole stream, at the input indices the chain places its outputs at;
+    the empirical noise gain on a second pass, over the stream's ADC noise
+    alone, through the noise study's output-power helper.  The noise is
+    drawn once, for both runs."""
+    return _experiment(spec, chain, count)[0]
 
 
 def noise_gain_study(
@@ -501,8 +503,7 @@ def noise_gain_study(
         _check_seed(seed)
     if len(set(seeds)) != len(seeds):
         raise UsageError("noise study seeds must be distinct")
-    j0 = _first_clean_output(chain)
-    if j0 >= len(range(chain.decimation_phase, count, chain.decimation)):
+    if chain._settled >= len(range(count)[chain._outputs]):
         raise UsageError("no post-transient output samples to evaluate")
     scale = 4.0 * spec.noise_sigma**2
     # A noise power beyond the float range leaves a non-finite estimate, which
@@ -511,7 +512,7 @@ def noise_gain_study(
         per_seed = len(range(0, count, _CHUNK))
         with contextlib.closing(_noise_ahead(spec.noise_sigma, seeds, count)) as noise:
             gains = [
-                float(np.mean(_noise_power(chain, islice(noise, per_seed), count, j0))) / scale
+                float(np.mean(_noise_power(chain, islice(noise, per_seed), count))) / scale
                 for _ in seeds
             ]
         gains_arr = np.asarray(gains)
@@ -537,7 +538,7 @@ def harmonic_bias(
     chain = DdcChain(carrier, ddc_filter)
     spec = SignalSpec(harmonics=((order, amplitude),))
     out = run(chain, synthesize(spec, carrier, count))
-    j0 = _first_clean_output(chain)
+    j0 = chain._settled
     usable = ((len(out.seq) - j0) // carrier.samples) * carrier.samples
     if usable == 0:
         raise UsageError("too few samples to average a whole carrier block")

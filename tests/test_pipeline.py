@@ -512,6 +512,11 @@ def test_chain_shape_matches_its_explicit_stages(
         memory += (len(filt.taps) - 1 + horizon) * rate
         delay += dk.phase_metrics(baseband, 0.0, h * rate).group_delay
     assert dk.transient_length(chain) == memory
+    # Output j sits at input index phase + j*decimation; the first past the
+    # transient is the first whose index reaches it.
+    assert range(len(y))[chain._outputs] == range(phase, len(y), decimation)
+    assert len(out.seq) == len(range(phase, len(y), decimation))
+    assert chain._settled == max(0, math.ceil((memory - phase) / decimation))
     assert dk.group_delay_seconds(chain) == delay
     assert out.group_delay == delay
 

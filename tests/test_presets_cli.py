@@ -9,6 +9,7 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import ddckit as dk
@@ -322,12 +323,46 @@ def test_cli_compare_order_accepts_a_bandwidth_its_low_pass_realizes(capsys):
     assert [float(row[0]) for row in rows] == pytest.approx([1e-8, 1e-1])
 
 
+def _csv_text(header, rows):
+    """The bytes, as text, that the CLI writes for this table."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, ".10g") if isinstance(v, float) else v for v in row])
+    return text.getvalue()
+
+
+@pytest.mark.parametrize(
+    "spec,ratio,factor",
+    [("ma:14", "3/14", 14), ("2sr+dcr", "7/33", 1), ("2sr+dcr", "7/33", 3), ("ma:33", "7/33", 33)],
+)
+def test_cli_compare_order_values_are_the_two_orders_norms(capsys, spec, ratio, factor):
+    # The oracle: the filter-then-decimate cascade's norm and the multirate
+    # norm with the low-pass at the decimated rate, each over the full-rate
+    # low-pass's norm, in dB.
+    argv = ["compare-order", "--filter", spec, "--carrier", ratio, "--decimate", str(factor)]
+    assert main(argv) == 0
+    stages = parse_filter_spec(spec, dk.CarrierConfig(*parse_ratio(ratio), 1.0))
+    two_pi = 2.0 * math.pi
+    rows = []
+    for rel in np.geomspace(1e-4, 1e-1, 25):
+        full = dk.make_lp(rel * two_pi, 1.0)
+        low = dk.make_lp(rel * two_pi * factor, 1.0)
+        ref = dk.h2_norm_sq([full]).value
+        after = dk.h2_norm_sq(stages + [full]).value / ref
+        before = dk.multirate_norm_sq(stages, low, factor).value / ref
+        rows.append((float(rel), 10.0 * math.log10(after), 10.0 * math.log10(before)))
+    header = ["omega_lp_over_omega_s", "rejection_after_db", "rejection_before_db"]
+    assert capsys.readouterr().out == _csv_text(header, rows)
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_cli_simulate_refuses_a_seed_count_below_one(monkeypatch, capsys, seeds):
     def no_experiment(*args, **kwargs):
         raise AssertionError("ran an experiment with a bad seed count")
 
-    monkeypatch.setattr("ddckit.cli.run_experiment", no_experiment)
+    monkeypatch.setattr("ddckit.cli._experiment", no_experiment)
     assert main(["simulate", "--preset", "ess", "--seeds", seeds]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--seeds" in captured.err
@@ -372,7 +407,7 @@ def test_cli_simulate_noise_study_needs_no_single_experiment(monkeypatch, capsys
     def no_experiment(*args, **kwargs):
         raise AssertionError("the noise study ran a single experiment")
 
-    monkeypatch.setattr("ddckit.cli.run_experiment", no_experiment)
+    monkeypatch.setattr("ddckit.cli._experiment", no_experiment)
     assert (
         main(["simulate", "--preset", "ess", "--noise", "1", "--seeds", "2",
               "--samples", "2000"])
@@ -432,6 +467,65 @@ def test_cli_simulate_trace_out(tmp_path, capsys):
     assert float(rows[50][3]) == pytest.approx(1.0, abs=1e-9)
 
 
+_ESS = dk.get_preset("ess")
+_C733 = dk.CarrierConfig(7, 33, 1.0)
+
+
+@pytest.mark.parametrize(
+    "flags,chain",
+    [
+        (["--preset", "ess"],
+         dk.make_chain(_ESS.carrier, dk.make_ma(14), decimation=14, order=_ESS.order)),
+        (["--carrier", "7/33", "--filter", "2sr", "--lp", "0.01", "--decimate", "3",
+          "--order", "decimate-then-filter"],
+         dk.make_chain(_C733, dk.make_2sr(_C733), 0.01 * (2.0 * math.pi), decimation=3,
+                       order=dk.ChainOrder.DECIMATE_THEN_FILTER)),
+    ],
+    ids=["ess", "2sr-lp-after-decimation"],
+)
+def test_cli_simulate_trace_is_the_experiments_own_pass(
+    monkeypatch, tmp_path, capsys, flags, chain
+):
+    # The trace is the chain's output for the stream the experiment
+    # synthesized, and the command synthesizes it once.
+    streams = []
+    real_stream = dk.simulate._adc_stream
+
+    def counted_stream(*args):
+        streams.append(args)
+        return real_stream(*args)
+
+    monkeypatch.setattr("ddckit.simulate._adc_stream", counted_stream)
+    trace = tmp_path / "trace.csv"
+    argv = ["simulate"] + flags + ["--noise", "0.5", "--seed", "3", "--samples", "9000"]
+    assert main(argv + ["--out", str(trace)]) == 0
+    assert len(streams) == 1
+    report = capsys.readouterr().out
+    spec = dk.SignalSpec(noise_sigma=0.5, seed=3)
+    out = dk.run(chain, dk.synthesize(spec, chain.carrier, 9000))
+    rows = [(j, float(v.real), float(v.imag), float(abs(v))) for j, v in enumerate(out.seq.values)]
+    assert trace.read_bytes() == _csv_text(["index", "real", "imag", "abs"], rows).encode()
+    # The report is the one printed without a trace.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freq-response", "--filter", "2sr", "--carrier", "7/33", "--points", "16"],
+        ["compare-order", "--filter", "ma:14", "--carrier", "3/14", "--decimate", "14",
+         "--sweep-points", "3"],
+    ],
+    ids=["freq-response", "compare-order"],
+)
+def test_cli_tables_write_dash_to_stdout(capsys, argv):
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == table
+
+
 def test_cli_simulate_refuses_a_trace_of_a_noise_study(monkeypatch, tmp_path, capsys):
     def no_study(*args, **kwargs):
         raise AssertionError("started a noise study whose trace would be dropped")
@@ -474,13 +568,15 @@ def _exit_code(argv):
         (["compare-order", "--filter", "ma:14", "--decimate", "14"], "--carrier"),
         # lp:X is bandwidth over sample rate, so bandwidth*period is 2*pi*X.
         (["norm", "--filter", "ma:3+lp:1e-18"], "bandwidth*period 6.28e-18"),
+        # The report goes to stdout, so a trace there could not be parsed.
+        (["simulate", "--preset", "ess", "--samples", "2000", "--out", "-"], "--out"),
     ],
 )
 def test_cli_refuses_a_bad_value_naming_its_flag(monkeypatch, capsys, argv, named):
     def nothing(*args, **kwargs):
         raise AssertionError("ran on a refused value")
 
-    monkeypatch.setattr("ddckit.cli.run_experiment", nothing)
+    monkeypatch.setattr("ddckit.cli._experiment", nothing)
     monkeypatch.setattr("ddckit.cli.noise_gain_study", nothing)
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
@@ -627,7 +723,7 @@ def test_cli_simulate_takes_its_chain_from_exactly_one_source(
     def no_experiment(*args, **kwargs):
         raise AssertionError("ran an experiment on one of two chain sources")
 
-    monkeypatch.setattr("ddckit.cli.run_experiment", no_experiment)
+    monkeypatch.setattr("ddckit.cli._experiment", no_experiment)
     monkeypatch.setattr("ddckit.cli.noise_gain_study", no_experiment)
     rig = _rig(tmp_path)
     argv = ["simulate"] + [rig if f == "{rig}" else f for f in flags]
